@@ -15,8 +15,9 @@ smoke:
 	$(PYTHON) -m repro all --json --jobs 4 > /dev/null
 
 # Wall-clock perf harness (docs/performance.md): times every registered
-# experiment under the segment, batch and legacy kernels at smoke AND
-# full parameters and rewrites the committed BENCH_sim.json baseline.
+# experiment at smoke AND full parameters, records which backend served
+# fig8's ETC queue runs, and rewrites the committed BENCH_sim.json
+# baseline.
 bench:
 	$(PYTHON) -m repro bench --repeats 3
 
@@ -35,7 +36,8 @@ dse:
 	$(PYTHON) -m repro dse
 
 # Differential fuzzing (docs/fuzzing.md): seed-deterministic guest
-# programs run across every mode x kernel with the oracle suite armed.
+# programs run across all three execution modes with the oracle suite
+# armed.
 # `fuzz` is the developer campaign; `fuzz-smoke` is CI's gate — a
 # 25-run clean campaign, a bug-calibration campaign that must find and
 # shrink a violation, and a replay of every committed counterexample.

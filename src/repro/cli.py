@@ -294,25 +294,21 @@ def _cmd_chaos(argv):
 def _cmd_bench(argv):
     """``repro bench``: the wall-clock perf-regression harness.
 
-    Times registered experiments under the segment, batch and legacy
-    kernels (min-of-N wall clock, events/sec, instructions/sec, memo
-    and batch-tier traffic), writes the ``repro-bench/2`` document to
-    ``BENCH_sim.json`` at the repo root, and compares against a
-    committed baseline; ``--check`` turns a regression beyond
-    ``--threshold`` — or a violation of the absolute batch-kernel
-    speedup floors, in either the fresh document or the committed
-    baseline — into a nonzero exit (the CI bench-smoke gate).
+    Times registered experiments (min-of-N wall clock, events/sec,
+    instructions/sec, and the backend that served each ETC queue run),
+    writes the ``repro-bench/3`` document to ``BENCH_sim.json`` at the
+    repo root, and compares against a committed baseline; ``--check``
+    turns a regression beyond ``--threshold``, or a baseline of another
+    schema, into a nonzero exit (the CI bench-smoke gate).
     """
     import json
 
     from repro.exp import bench
-    from repro.sim import kernel as simkernel
 
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Time registered experiments under the segment, "
-                    "batch and legacy simulation kernels and track "
-                    "the perf trajectory in BENCH_sim.json",
+        description="Time registered experiments and track the perf "
+                    "trajectory in BENCH_sim.json",
     )
     parser.add_argument("--smoke", action="store_true",
                         help="smoke parameters only (CI bench-smoke "
@@ -325,13 +321,6 @@ def _cmd_bench(argv):
     parser.add_argument("--repeats", type=int, default=3, metavar="N",
                         help="timed repetitions per experiment; the "
                              "minimum is reported (default 3)")
-    parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the legacy-kernel timing (no "
-                             "speedup column; faster run)")
-    parser.add_argument("--kernel", action="append", default=None,
-                        choices=simkernel.KERNELS, metavar="KERNEL",
-                        help="time only this kernel (repeatable; "
-                             "default: segment, batch and legacy)")
     parser.add_argument("--cost-model", default=None, metavar="NAME",
                         choices=costmodels.model_names(),
                         help="time the experiments under a registered "
@@ -374,8 +363,6 @@ def _cmd_bench(argv):
 
     doc = bench.bench_document(names=names, sections=sections,
                                repeats=args.repeats,
-                               kernels=args.kernel,
-                               legacy=not args.no_legacy,
                                overrides={
                                    "cost_model": args.cost_model,
                                })
@@ -391,28 +378,17 @@ def _cmd_bench(argv):
         print(f"bench -> {out}")
 
     failed = False
-    # Absolute speedup floors: enforced on the fresh document and on
-    # the committed baseline (the full-parameter section lives in the
-    # baseline for CI smoke runs that only re-time the smoke section).
-    floor_docs = [("current", doc)]
-    if baseline is not None:
-        floor_docs.append(("baseline", baseline))
-    for origin, floor_doc in floor_docs:
-        for violation in bench.check_floors(floor_doc):
-            failed = True
-            print(f"FLOOR [{violation['section']}] "
-                  f"{violation['experiment']} ({origin}): "
-                  f"{violation['bar']} {violation['ratio']:.2f}x "
-                  f"< {violation['floor']:.1f}x floor "
-                  f"({violation['reference_wall_s']:.4f}s vs "
-                  f"{violation['wall_s']:.4f}s)", file=sys.stderr)
-
+    if baseline is not None and baseline.get("schema") != bench.SCHEMA:
+        print(f"bench: baseline {baseline_path} has schema "
+              f"{baseline.get('schema')!r}, not {bench.SCHEMA!r}; "
+              "nothing comparable", file=sys.stderr)
+        baseline = None
+        failed = True
     if baseline is not None:
         regressions = bench.compare(doc, baseline,
                                     threshold=args.threshold)
         for reg in regressions:
-            print(f"REGRESSION [{reg['section']}] {reg['experiment']} "
-                  f"({reg.get('kernel', 'segment')}): "
+            print(f"REGRESSION [{reg['section']}] {reg['experiment']}: "
                   f"{reg['wall_s']:.4f}s vs baseline "
                   f"{reg['baseline_wall_s']:.4f}s "
                   f"({reg['ratio']:.2f}x, threshold "
@@ -422,7 +398,7 @@ def _cmd_bench(argv):
         else:
             print(f"no regressions vs {baseline_path} "
                   f"(threshold {args.threshold:.0%})", file=sys.stderr)
-    elif args.check:
+    elif args.check and not failed:
         print(f"bench --check: no baseline at {baseline_path}; "
               "nothing to compare", file=sys.stderr)
     if failed and args.check:

@@ -19,14 +19,12 @@ Extensions the paper discusses but does not build:
 * `repro.core.security` — §3.4's co-residency audit.
 * `repro.core.related_work` — §7's alternatives, priced on the same
   cost base.
-* `repro.core.fleet` — multi-vCPU/multi-VM aggregation (§4.1).
 """
 
 from repro.core.bypass import BypassSvtEngine, install_bypass
 from repro.core.channel import Command, CommandKind, CommandRing, PairedChannels
 from repro.core.coexist import CoexistConfig, DynamicPolicy, crossover_trap_rate
 from repro.core.cross_context import ctxt_read, ctxt_write, resolve_target
-from repro.core.fleet import Fleet, FleetResult
 from repro.core.mode import ExecutionMode
 from repro.core.security import CoResidencyAuditor, audit_machine_run
 from repro.core.switch import (
@@ -48,8 +46,6 @@ __all__ = [
     "CommandRing",
     "DynamicPolicy",
     "ExecutionMode",
-    "Fleet",
-    "FleetResult",
     "HwSvtEngine",
     "Machine",
     "PairedChannels",

@@ -35,7 +35,6 @@ from repro.errors import ConfigError, EptFault, VirtualizationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
-from repro.cpu import segments
 from repro.obs.observer import ambient as obs_ambient
 from repro.sim import kernel as simkernel
 from repro.sim import sanitizer
@@ -68,7 +67,7 @@ class Machine:
     def __init__(self, mode=ExecutionMode.BASELINE, costs=None, config=None,
                  wait_mechanism="mwait", placement="smt", keep_events=False,
                  engine_factory=None, observer=None, faults=None,
-                 watchdog=None, kernel=None):
+                 watchdog=None):
         """``engine_factory(sim, tracer, costs, core, channels)`` replaces
         the mode's stock switch engine — the hook ablation studies use to
         model hybrid designs (e.g. SVt contexts multiplexed past the SMT
@@ -88,19 +87,10 @@ class Machine:
         :class:`repro.faults.Watchdog` whenever faults are armed,
         ``False`` disables recovery (blocked waits raise
         :class:`~repro.errors.DeadlockError` with a structured report),
-        and a :class:`~repro.faults.Watchdog` instance is used as-is.
-
-        ``kernel`` selects the simulation kernel: ``"segment"`` (the
-        fast path — batched charging and compiled segment replay) or
-        ``"legacy"`` (the original per-instruction loop).  ``None``
-        reads the process-wide choice from ``REPRO_SIM_KERNEL`` (see
-        :mod:`repro.sim.kernel`); both produce byte-identical results
-        and traces."""
+        and a :class:`~repro.faults.Watchdog` instance is used as-is."""
         self.mode = ExecutionMode.validate(mode)
-        self.kernel = (simkernel.active_kernel() if kernel is None
-                       else simkernel.validate(kernel))
-        #: Instructions executed (stepped or segment-replayed) — the
-        #: bench harness's instructions/sec numerator.
+        #: Instructions executed — the bench harness's
+        #: instructions/sec numerator.
         self.instructions_retired = 0
         self.costs = costmodels.resolve(costs)
         self.config = config or paper_machine()
@@ -227,25 +217,11 @@ class Machine:
         span = (self.obs.span("run_program", level=level,
                               mode=str(self.mode))
                 if self.obs is not None else nullcontext())
-        # The segment/batch kernels batch charges, which would coarsen
-        # per-instruction observability (span streams, kept trace
-        # events); those paths keep the instruction-exact legacy loop.
-        # Programs with few batchable instructions also step: compiling
-        # them costs more than the batched replay saves
-        # (segments.COMPILE_MIN_INSTRUCTIONS counts ALU/PAUSE work),
-        # and both paths are byte-identical by contract either way.
-        fast = (self.kernel != simkernel.LEGACY and self.obs is None
-                and not self.tracer.keep_events
-                and (segments.batchable_dynamic(program)
-                     >= segments.COMPILE_MIN_INSTRUCTIONS))
         with span:
-            if fast:
-                count = self._run_segments(program, level)
-            else:
-                count = 0
-                for instruction in program:
-                    self.run_instruction(instruction, level)
-                    count += 1
+            count = 0
+            for instruction in program:
+                self.run_instruction(instruction, level)
+                count += 1
         return RunResult(
             elapsed_ns=self.sim.now - start,
             instructions=count,
@@ -253,83 +229,6 @@ class Machine:
             start_ns=start,
             end_ns=self.sim.now,
         )
-
-    def _run_segments(self, program, level):
-        """Fast-path program execution over the compiled plan.
-
-        Stepped instructions go through :meth:`run_instruction`
-        unchanged; segments replay through :meth:`_replay_segment`.
-        Returns the executed instruction count (same contract as the
-        legacy loop).
-        """
-        plan = segments.compile_program(program, self.mode, level,
-                                        self.costs)
-        if plan.single is not None:
-            self._replay_segment(plan.single, level,
-                                 passes=program.repeat)
-            return plan.count * program.repeat
-        instructions = program.instructions
-        for _ in range(program.repeat):
-            for node in plan.nodes:
-                if type(node) is int:
-                    self.run_instruction(instructions[node], level)
-                else:
-                    self._replay_segment(node, level, passes=1)
-        return plan.count * program.repeat
-
-    def _replay_segment(self, segment, level, passes=1):
-        """Charge one segment's cost span, honouring event boundaries.
-
-        Equivalent to running the segment's ALU/PAUSE instructions
-        through the legacy loop: the deferred-I/O and interrupt-window
-        checks re-run wherever an event can fire (segment entry and
-        after any instruction whose charge fired one), and the whole
-        remaining span is charged in one call when the next scheduled
-        deadline lies at or beyond its end — the legacy loop would have
-        made the same checks with the same (empty) outcomes in between.
-        """
-        sim = self.sim
-        costs = segment.costs
-        suffix = segment.suffix
-        total = segment.total
-        n = len(costs)
-        index = 0
-        retired = 0
-        while passes:
-            self._segment_boundary(level)
-            remaining = suffix[index] + total * (passes - 1)
-            if remaining == 0:
-                # Zero-cost tail: time cannot pass, so no event can
-                # fire and the per-instruction checks stay no-ops.
-                retired += (n - index) + n * (passes - 1)
-                break
-            next_due = sim.peek_next_time()
-            if next_due is None or next_due - sim.now >= remaining:
-                self._charge(remaining, Category.GUEST_WORK)
-                retired += (n - index) + n * (passes - 1)
-                break
-            # An event falls strictly inside the remaining span: step
-            # one instruction (exactly the legacy cadence) so the
-            # boundary checks re-run right after it fires.
-            cost = costs[index]
-            if cost:
-                self._charge(cost, Category.GUEST_WORK)
-            retired += 1
-            index += 1
-            if index == n:
-                index = 0
-                passes -= 1
-        self.instructions_retired += retired
-
-    def _segment_boundary(self, level):
-        """The checks a segment boundary owes the legacy loop: drain
-        deferred I/O, then take any pending interrupts.  Shared by
-        :meth:`_replay_segment` and the batch replay tier
-        (:func:`repro.sim.batch.replay_cells`), so both kernels run the
-        identical boundary sequence in the identical order."""
-        if self._deferred:
-            self.service_io()
-        self._take_pending_interrupts(level)
 
     def run_instruction(self, instruction, level=2):
         """Execute one instruction at a level (exits included)."""

@@ -22,6 +22,9 @@ one place (:func:`use_default` / :func:`default_model`) affects every
 layer that used to call ``CostModel()`` ad hoc.
 """
 
+import dataclasses
+import hashlib
+import json
 from contextlib import contextmanager
 
 from repro.cpu.costs import CostModel
@@ -127,6 +130,16 @@ def resolve(costs=None):
     raise ConfigError(
         f"cannot resolve cost model from {type(costs).__name__}"
     )
+
+
+def fingerprint(model):
+    """Digest of every field of ``model`` — the one definition of "same
+    cost model" (result-cache keys, the memcached service-time memo).
+    ``CostModel`` has dict fields, so it cannot key a memo by value
+    itself; this digest can."""
+    doc = dataclasses.asdict(model)
+    payload = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 # Bundled models register themselves on import (safe mid-module: the

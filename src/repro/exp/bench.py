@@ -1,22 +1,19 @@
 """`repro bench` — the wall-clock perf-regression harness.
 
-Times every registered experiment under each simulation kernel —
-``segment`` (the per-cell fast path), ``batch`` (the sweep-level
-compile-once tier) and ``legacy`` (the per-instruction reference) — at
-smoke and/or full parameters.  Each (experiment, kernel) pair runs its
-cells serially ``repeats`` times and reports the **minimum** wall
-clock (min-of-N filters scheduler noise without averaging it in),
-alongside simulation throughput (events fired and instructions retired
-per second, via :func:`repro.sim.kernel.collect_stats`), the
-segment-compile memo traffic (:func:`repro.cpu.segments.memo_stats`)
-and the batch-tier occupancy (:func:`repro.sim.batch.batch_stats`).
+Times every registered experiment at smoke and/or full parameters.
+Each experiment runs its cells serially ``repeats`` times and reports
+the **minimum** wall clock (min-of-N filters scheduler noise without
+averaging it in), alongside simulation throughput (events fired and
+instructions retired per second, via
+:func:`repro.sim.kernel.collect_stats`) and, for experiments with an
+ETC queue model, which backend served each queue run
+(:func:`repro.workloads.memcached_native.served`: ``native``, or
+``reference`` with the reason).
 
 The document is written to ``BENCH_sim.json`` at the repo root — the
 perf-trajectory artifact every later perf PR is measured against — and
 :func:`compare` checks a fresh run against a committed baseline with a
-configurable regression threshold, while :func:`check_floors` holds
-the document to the absolute speedup bars of the batch-kernel work
-(CI's bench-smoke job gates on both).
+configurable regression threshold (CI's bench-smoke job gates on it).
 
 Wall-clock numbers are machine-dependent by nature; the artifact is a
 trajectory on comparable hardware, not a determinism surface.  Nothing
@@ -30,15 +27,14 @@ import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.cpu import costmodels, segments
+from repro.cpu import costmodels
 from repro.exp import registry
-from repro.sim import batch as simbatch
 from repro.sim import kernel as simkernel
 
-#: Schema tag of the BENCH_sim.json document.  ``repro-bench/2`` nests
-#: per-kernel timings under each experiment (``entry["kernels"]``)
-#: instead of v1's segment-plus-legacy columns.
-SCHEMA = "repro-bench/2"
+#: Schema tag of the BENCH_sim.json document.  ``repro-bench/3`` has
+#: one timing per experiment (one engine); earlier schemas nested one
+#: timing per simulation kernel and are not comparable.
+SCHEMA = "repro-bench/3"
 
 #: Default regression threshold: fail when a section/experiment wall
 #: clock exceeds the baseline by more than this fraction.
@@ -53,21 +49,10 @@ MIN_COMPARE_WALL_S = 0.005
 #: Absolute slack for regression comparison: a flagged entry must be
 #: slower by at least this many seconds on top of the relative
 #: threshold.  Smoke cells run in tens of milliseconds, where a 25%
-#: relative excursion is routine scheduler jitter; genuine fast-path
-#: breakage (e.g. the segment kernel silently degrading to the legacy
-#: cadence) costs hundreds of milliseconds and clears this easily.
+#: relative excursion is routine scheduler jitter; genuine breakage
+#: (e.g. fig8's queue model falling back to the reference loop) costs
+#: hundreds of milliseconds and clears this easily.
 MIN_REGRESSION_DELTA_S = 0.05
-
-#: Absolute speedup floors (see ``docs/performance.md``, "Batch
-#: kernel"): the full-parameter fig8 sweep — the tentpole workload the
-#: batch kernel was built for — must hold >= 10x over the legacy
-#: kernel and >= 3x over the segment kernel; and *no* experiment may
-#: lose wall clock by moving from segment to batch (or from legacy to
-#: segment) above the noise floor.  :func:`check_floors` enforces all
-#: of these with :data:`MIN_REGRESSION_DELTA_S` of absolute slack so
-#: scheduler jitter on a few-ms experiment cannot fail CI.
-FIG8_BATCH_VS_LEGACY_FLOOR = 10.0
-FIG8_BATCH_VS_SEGMENT_FLOOR = 3.0
 
 
 def default_bench_path() -> Path:
@@ -90,35 +75,31 @@ def _resolve_params(experiment: registry.Experiment, smoke: bool,
 
 
 def _time_cells(experiment: registry.Experiment,
-                params: Mapping[str, Any], kernel: str, repeats: int,
+                params: Mapping[str, Any], repeats: int,
                 ) -> dict[str, Any]:
-    """Min-of-N wall clock for one (experiment, kernel) pair.
+    """Min-of-N wall clock for one experiment.
 
-    Each cell is timed individually (min over the repeats per cell, so
-    the acceptance-level per-cell speedups are visible in the
-    artifact); ``wall_s`` is the min over repeats of the summed cell
-    walls.  The throughput counters come from the last repeat and are
+    Each cell is timed individually (min over the repeats per cell);
+    ``wall_s`` is the min over repeats of the summed cell walls.  The
+    throughput counters come from the last repeat and are
     deterministic (identical every repeat), unlike the wall clock.
 
-    The per-process memos (segment compile memo, memcached
-    service-time memo, batch-tier counters) are reset on entry so
-    every kernel is timed from the same cold start — the first repeat
-    pays any one-off compile/measure cost and min-of-N excludes it
-    identically for all kernels — and their traffic over the timed
-    repeats is reported in the entry.
+    The memcached service-time memo and queue-backend tally are reset
+    on entry, so every experiment is timed from the same cold start —
+    the first repeat pays any one-off measure cost and min-of-N
+    excludes it — and ``queue_backend`` counts the queue runs of the
+    timed repeats per serving backend.
     """
-    from repro.workloads import memcached
+    from repro.workloads import memcached, memcached_native
 
     cells = experiment.cells(dict(params))
     wall = float("inf")
     cell_walls = {cell: float("inf") for cell in cells}
     events = 0
     instructions = 0
-    segments.reset_memo_stats()
-    simbatch.reset_batch_stats()
     memcached.reset_service_memo()
-    with simkernel.use_kernel(kernel), \
-            costmodels.use_default(params.get("cost_model")):
+    memcached_native.reset_served()
+    with costmodels.use_default(params.get("cost_model")):
         for _ in range(max(1, repeats)):
             total = 0.0
             with simkernel.collect_stats() as stats:
@@ -134,6 +115,7 @@ def _time_cells(experiment: registry.Experiment,
             events = stats.events_fired
             instructions = stats.instructions
     entry: dict[str, Any] = {
+        "cells": len(cells),
         "wall_s": round(wall, 4),
         "cell_wall_s": {cell: round(took, 4)
                         for cell, took in cell_walls.items()},
@@ -142,105 +124,39 @@ def _time_cells(experiment: registry.Experiment,
         "instructions": instructions,
         "instructions_per_s": (round(instructions / wall)
                                if wall else 0),
-        "memo": segments.memo_stats(),
     }
-    if kernel == simkernel.BATCH:
-        entry["batch"] = simbatch.batch_stats()
+    backends = memcached_native.served()
+    if backends:
+        entry["queue_backend"] = backends
     return entry
 
 
-def _ratio(numerator: Optional[float], denominator: Optional[float],
-           ) -> Optional[float]:
-    if not numerator or not denominator:
-        return None
-    return round(float(numerator) / float(denominator), 2)
-
-
 def bench_section(names: Iterable[str], smoke: bool, repeats: int = 3,
-                  kernels: Iterable[str] = simkernel.KERNELS,
                   overrides: Optional[Mapping[str, Any]] = None,
                   ) -> dict[str, Any]:
     """One parameter section (smoke or full) of the bench document."""
-    kernels = [simkernel.validate(kernel)
-               for kernel in dict.fromkeys(kernels)]
     experiments: dict[str, Any] = {}
-    totals_by_kernel = {kernel: 0.0 for kernel in kernels}
     for name in sorted(dict.fromkeys(names)):
         experiment = registry.get(name)
         params = _resolve_params(experiment, smoke, overrides)
-        by_kernel = {
-            kernel: _time_cells(experiment, params, kernel, repeats)
-            for kernel in kernels
-        }
-        for kernel in kernels:
-            totals_by_kernel[kernel] += by_kernel[kernel]["wall_s"]
-        walls = {kernel: by_kernel[kernel]["wall_s"]
-                 for kernel in kernels}
-        entry: dict[str, Any] = {
-            "cells": len(experiment.cells(params)),
-            "kernels": by_kernel,
-        }
-        speedup = _ratio(walls.get(simkernel.LEGACY),
-                         walls.get(simkernel.SEGMENT))
-        if speedup is not None:
-            entry["speedup"] = speedup
-            seg_cells = by_kernel[simkernel.SEGMENT]["cell_wall_s"]
-            leg_cells = by_kernel[simkernel.LEGACY]["cell_wall_s"]
-            entry["cell_speedup"] = {
-                cell: (round(leg_cells[cell] / took, 2) if took
-                       else 0.0)
-                for cell, took in seg_cells.items()
-            }
-        batch_speedup = _ratio(walls.get(simkernel.LEGACY),
-                               walls.get(simkernel.BATCH))
-        if batch_speedup is not None:
-            entry["batch_speedup"] = batch_speedup
-        batch_vs_segment = _ratio(walls.get(simkernel.SEGMENT),
-                                  walls.get(simkernel.BATCH))
-        if batch_vs_segment is not None:
-            entry["batch_vs_segment"] = batch_vs_segment
-        experiments[name] = entry
-    totals: dict[str, Any] = {
-        "wall_s": {kernel: round(total, 4)
-                   for kernel, total in totals_by_kernel.items()},
-    }
-    for label, num, den in (
-        ("speedup", simkernel.LEGACY, simkernel.SEGMENT),
-        ("batch_speedup", simkernel.LEGACY, simkernel.BATCH),
-        ("batch_vs_segment", simkernel.SEGMENT, simkernel.BATCH),
-    ):
-        ratio = _ratio(totals_by_kernel.get(num),
-                       totals_by_kernel.get(den))
-        if ratio is not None:
-            totals[label] = ratio
-    return {"experiments": experiments, "totals": totals}
+        experiments[name] = _time_cells(experiment, params, repeats)
+    total = sum(entry["wall_s"] for entry in experiments.values())
+    return {"experiments": experiments,
+            "totals": {"wall_s": round(total, 4)}}
 
 
 def bench_document(names: Optional[Iterable[str]] = None,
                    sections: Iterable[str] = ("smoke", "full"),
                    repeats: int = 3,
-                   kernels: Optional[Iterable[str]] = None,
-                   legacy: bool = True,
                    overrides: Optional[Mapping[str, Any]] = None,
                    ) -> dict[str, Any]:
-    """The full ``repro-bench/2`` document.
-
-    ``kernels`` selects the kernel subset to time (default: all
-    three); ``legacy=False`` is shorthand for dropping the legacy
-    kernel from that subset (the slowest column by an order of
-    magnitude).
-    """
+    """The full ``repro-bench/3`` document."""
     registry.ensure_loaded()
     names = sorted(names or registry.names())
-    chosen = list(dict.fromkeys(kernels or simkernel.KERNELS))
-    if not legacy:
-        chosen = [kernel for kernel in chosen
-                  if kernel != simkernel.LEGACY]
     doc: dict[str, Any] = {
         "schema": SCHEMA,
         "kernel_version": simkernel.KERNEL_VERSION,
         "repeats": repeats,
-        "kernels": [simkernel.validate(kernel) for kernel in chosen],
         "python": ".".join(str(part) for part in sys.version_info[:3]),
         "sections": {},
     }
@@ -249,32 +165,20 @@ def bench_document(names: Optional[Iterable[str]] = None,
             raise ValueError(f"unknown bench section {section!r}")
         doc["sections"][section] = bench_section(
             names, smoke=(section == "smoke"), repeats=repeats,
-            kernels=chosen, overrides=overrides)
+            overrides=overrides)
     return doc
-
-
-def _entry_walls(entry: Mapping[str, Any]) -> dict[str, float]:
-    """Per-kernel walls of a v2 entry (v1 entries map to segment)."""
-    kernels = entry.get("kernels")
-    if kernels:
-        return {kernel: float(timing.get("wall_s", 0.0))
-                for kernel, timing in kernels.items()}
-    walls = {simkernel.SEGMENT: float(entry.get("wall_s", 0.0))}
-    if "legacy_wall_s" in entry:
-        walls[simkernel.LEGACY] = float(entry["legacy_wall_s"])
-    return walls
 
 
 def compare(current: Mapping[str, Any], baseline: Mapping[str, Any],
             threshold: float = DEFAULT_THRESHOLD) -> list[dict[str, Any]]:
     """Wall-clock regressions of ``current`` versus ``baseline``.
 
-    Compares every (section, experiment, kernel) present in both
-    documents; an entry regresses when its wall clock exceeds the
-    baseline's by more than ``threshold`` (a fraction) *and* by at
-    least :data:`MIN_REGRESSION_DELTA_S` in absolute terms.  Entries
-    where both walls are under :data:`MIN_COMPARE_WALL_S` are skipped
-    as noise.  Returns the regressions sorted worst-first.
+    Compares every (section, experiment) present in both documents; an
+    entry regresses when its wall clock exceeds the baseline's by more
+    than ``threshold`` (a fraction) *and* by at least
+    :data:`MIN_REGRESSION_DELTA_S` in absolute terms.  Entries where
+    both walls are under :data:`MIN_COMPARE_WALL_S` are skipped as
+    noise.  Returns the regressions sorted worst-first.
     """
     regressions: list[dict[str, Any]] = []
     base_sections = baseline.get("sections", {})
@@ -285,90 +189,25 @@ def compare(current: Mapping[str, Any], baseline: Mapping[str, Any],
             base_entry = base_experiments.get(name)
             if base_entry is None:
                 continue
-            walls = _entry_walls(entry)
-            base_walls = _entry_walls(base_entry)
-            for kernel, wall in walls.items():
-                base_wall = base_walls.get(kernel, 0.0)
-                if base_wall <= 0.0:
-                    continue
-                if (wall < MIN_COMPARE_WALL_S
-                        and base_wall < MIN_COMPARE_WALL_S):
-                    continue
-                if wall - base_wall < MIN_REGRESSION_DELTA_S:
-                    continue
-                ratio = wall / base_wall
-                if ratio > 1.0 + threshold:
-                    regressions.append({
-                        "section": section,
-                        "experiment": name,
-                        "kernel": kernel,
-                        "wall_s": wall,
-                        "baseline_wall_s": base_wall,
-                        "ratio": round(ratio, 3),
-                    })
+            wall = float(entry.get("wall_s", 0.0))
+            base_wall = float(base_entry.get("wall_s", 0.0))
+            if base_wall <= 0.0:
+                continue
+            if (wall < MIN_COMPARE_WALL_S
+                    and base_wall < MIN_COMPARE_WALL_S):
+                continue
+            if wall - base_wall < MIN_REGRESSION_DELTA_S:
+                continue
+            ratio = wall / base_wall
+            if ratio > 1.0 + threshold:
+                regressions.append({
+                    "section": section,
+                    "experiment": name,
+                    "wall_s": wall,
+                    "baseline_wall_s": base_wall,
+                    "ratio": round(ratio, 3),
+                })
     return sorted(regressions, key=lambda r: -float(r["ratio"]))
-
-
-def check_floors(doc: Mapping[str, Any]) -> list[dict[str, Any]]:
-    """Absolute speedup-floor violations in a bench document.
-
-    The bars (docs/performance.md, "Batch kernel"), each applied with
-    :data:`MIN_REGRESSION_DELTA_S` of absolute slack and only above
-    the :data:`MIN_COMPARE_WALL_S` noise floor:
-
-    * no experiment may run slower under the batch kernel than under
-      the segment kernel (batch_vs_segment >= 1.0);
-    * no experiment may run slower under the segment kernel than under
-      the legacy kernel (speedup >= 1.0 — the compile gate's job);
-    * the full-parameter fig8 sweep must clear
-      :data:`FIG8_BATCH_VS_LEGACY_FLOOR` over legacy and
-      :data:`FIG8_BATCH_VS_SEGMENT_FLOOR` over segment.
-    """
-    failures: list[dict[str, Any]] = []
-
-    def fail(section: str, name: str, bar: str, floor: float,
-             fast: float, slow: float) -> None:
-        failures.append({
-            "section": section, "experiment": name, "bar": bar,
-            "floor": floor, "reference_wall_s": fast,
-            "wall_s": slow,
-            "ratio": round(fast / slow, 3) if slow else 0.0,
-        })
-
-    for section, payload in doc.get("sections", {}).items():
-        for name, entry in payload.get("experiments", {}).items():
-            walls = _entry_walls(entry)
-            seg = walls.get(simkernel.SEGMENT)
-            bat = walls.get(simkernel.BATCH)
-            leg = walls.get(simkernel.LEGACY)
-            if (seg is not None and bat is not None
-                    and seg >= MIN_COMPARE_WALL_S
-                    and bat > seg + MIN_REGRESSION_DELTA_S):
-                fail(section, name, "batch_vs_segment", 1.0, seg, bat)
-            if (leg is not None and seg is not None
-                    and leg >= MIN_COMPARE_WALL_S
-                    and seg > leg + MIN_REGRESSION_DELTA_S):
-                fail(section, name, "speedup", 1.0, leg, seg)
-            if section == "full" and name == "fig8":
-                if (leg and bat and bat * FIG8_BATCH_VS_LEGACY_FLOOR
-                        > leg + MIN_REGRESSION_DELTA_S):
-                    fail(section, name, "fig8_batch_vs_legacy",
-                         FIG8_BATCH_VS_LEGACY_FLOOR, leg, bat)
-                if (seg and bat and bat * FIG8_BATCH_VS_SEGMENT_FLOOR
-                        > seg + MIN_REGRESSION_DELTA_S):
-                    fail(section, name, "fig8_batch_vs_segment",
-                         FIG8_BATCH_VS_SEGMENT_FLOOR, seg, bat)
-    return failures
-
-
-def _fmt_wall(value: Optional[float]) -> str:
-    """Wall-clock column: a dash when the kernel was not benched."""
-    return "-" if value is None else f"{value:.4f}"
-
-
-def _fmt_ratio(value: Optional[float]) -> str:
-    """Speedup column: a dash when the comparison kernel is absent."""
-    return "-" if value is None else f"{value:.2f}x"
 
 
 def render(doc: Mapping[str, Any]) -> str:
@@ -376,52 +215,18 @@ def render(doc: Mapping[str, Any]) -> str:
     lines: list[str] = []
     for section, payload in doc.get("sections", {}).items():
         lines.append(f"[{section}]")
-        header = (f"  {'experiment':<18} {'cells':>5} {'segment_s':>9} "
-                  f"{'batch_s':>9} {'legacy_s':>9} {'speedup':>8} "
-                  f"{'batch':>7} {'events/s':>12} {'instr/s':>12}")
-        lines.append(header)
+        lines.append(f"  {'experiment':<18} {'cells':>5} {'wall_s':>9} "
+                     f"{'events/s':>12} {'instr/s':>12}  queue backend")
         for name, entry in sorted(payload["experiments"].items()):
-            walls = _entry_walls(entry)
-            timing = entry.get("kernels", {}).get(
-                simkernel.SEGMENT, entry)
+            backends = ", ".join(
+                f"{label} x{runs}" for label, runs in
+                sorted(entry.get("queue_backend", {}).items()))
             lines.append(
                 f"  {name:<18} {entry['cells']:>5} "
-                f"{_fmt_wall(walls.get(simkernel.SEGMENT)):>9} "
-                f"{_fmt_wall(walls.get(simkernel.BATCH)):>9} "
-                f"{_fmt_wall(walls.get(simkernel.LEGACY)):>9} "
-                f"{_fmt_ratio(entry.get('speedup')):>8} "
-                f"{_fmt_ratio(entry.get('batch_vs_segment')):>7} "
-                f"{timing.get('events_per_s', 0):>12,} "
-                f"{timing.get('instructions_per_s', 0):>12,}"
+                f"{entry['wall_s']:>9.4f} "
+                f"{entry.get('events_per_s', 0):>12,} "
+                f"{entry.get('instructions_per_s', 0):>12,}"
+                + (f"  {backends}" if backends else "")
             )
-        totals = payload["totals"]
-        walls = totals.get("wall_s", {})
-        if isinstance(walls, Mapping):
-            parts = [f"{walls.get(kernel, 0.0):.2f}s {kernel}"
-                     for kernel in simkernel.KERNELS
-                     if kernel in walls]
-            summary = " vs ".join(parts)
-        else:
-            summary = f"{float(walls):.2f}s segment"
-        ratios = ", ".join(
-            f"{label} {totals[label]:.2f}x"
-            for label in ("speedup", "batch_speedup",
-                          "batch_vs_segment")
-            if totals.get(label)
-        )
-        lines.append(f"  total: {summary}"
-                     + (f"  ({ratios})" if ratios else ""))
-        memo_lines = []
-        for name, entry in sorted(payload["experiments"].items()):
-            for kernel, timing in entry.get("kernels", {}).items():
-                memo = timing.get("memo", {})
-                batch = timing.get("batch", {})
-                if batch.get("native_calls") or memo.get("wipes"):
-                    memo_lines.append(
-                        f"  {name}/{kernel}: memo {memo.get('hits', 0)}h"
-                        f"/{memo.get('misses', 0)}m"
-                        f"/{memo.get('wipes', 0)}w, native "
-                        f"{batch.get('native_calls', 0)} call(s)"
-                    )
-        lines.extend(memo_lines)
+        lines.append(f"  total: {payload['totals']['wall_s']:.2f}s")
     return "\n".join(lines)

@@ -29,7 +29,6 @@ from repro.exp.result import Result, canonical_json
 from repro.obs.export import metrics_document
 from repro.obs.metrics import merge_snapshots
 from repro.obs.observer import capture_metrics
-from repro.sim import kernel as simkernel
 from repro.sim import sanitizer
 
 #: Top-level schema of the ``--json`` document.
@@ -166,41 +165,6 @@ def _execute_cell(name: str, cell: str, params: dict[str, Any],
     return name, cell, payload, took, snapshot, violations
 
 
-def _execute_cells(cells: list[tuple[str, str, dict[str, Any]]],
-                   collect_metrics: bool = False) \
-        -> list[tuple[str, str, Any, float, Optional[dict[str, Any]],
-                      list[str]]]:
-    """Worker entry point: one *group* of cells, in declared order.
-
-    The batch kernel's scheduling unit (see :func:`_grouped`): cells
-    of one experiment share workload structure, so running a group in
-    one worker process lets the compile memo
-    (:mod:`repro.cpu.segments`) and the service-time memo
-    (:mod:`repro.workloads.memcached`) amortize across the group —
-    the "compile once per sweep" contract — instead of every worker
-    recompiling the structures it happens to receive.  Purely a
-    scheduling change: each cell still runs through
-    :func:`_execute_cell`, and assembly is keyed by (name, cell), so
-    the output document is byte-identical at any grouping.
-    """
-    return [_execute_cell(name, cell, params, collect_metrics)
-            for name, cell, params in cells]
-
-
-def _grouped(cells: list[tuple[str, str, dict[str, Any]]]) \
-        -> list[list[tuple[str, str, dict[str, Any]]]]:
-    """Cells grouped by experiment name, group order = first
-    appearance (i.e. sorted-name order, since ``cells`` is built from
-    sorted plans).  The structural fingerprint available at this layer
-    is the experiment itself: every cell of one experiment builds the
-    same programs modulo parameters, which is exactly the population
-    the compile memo serves."""
-    groups: dict[str, list[tuple[str, str, dict[str, Any]]]] = {}
-    for item in cells:
-        groups.setdefault(item[0], []).append(item)
-    return list(groups.values())
-
-
 def run_experiments(names: Iterable[str],
                     overrides: Optional[Mapping[str, Any]] = None,
                     jobs: int = 1,
@@ -256,34 +220,14 @@ def run_experiments(names: Iterable[str],
     seconds: dict[str, float] = {}
     snapshots: dict[str, list[dict[str, Any]]] = {}
     if report.jobs > 1 and len(cells) > 1:
-        # Under the batch kernel, the scheduling unit is a structural
-        # group (all cells of one experiment) so the per-process memos
-        # compile each structure once per worker, not once per cell.
-        # Grouping is invisible in the output: assembly is keyed by
-        # (name, cell) either way.
-        batch_kernel = simkernel.active_kernel() == simkernel.BATCH
-        outcomes: Iterable[
-            tuple[str, str, Any, float, Optional[dict[str, Any]],
-                  list[str]]
-        ]
         with ProcessPoolExecutor(max_workers=report.jobs) as pool:
-            if batch_kernel:
-                groups = _grouped(cells)
-                grouped = pool.map(
-                    _execute_cells,
-                    groups,
-                    [collect_metrics] * len(groups),
-                )
-                outcomes = (outcome for group in grouped
-                            for outcome in group)
-            else:
-                outcomes = pool.map(
-                    _execute_cell,
-                    [c[0] for c in cells],
-                    [c[1] for c in cells],
-                    [c[2] for c in cells],
-                    [collect_metrics] * len(cells),
-                )
+            outcomes = pool.map(
+                _execute_cell,
+                [c[0] for c in cells],
+                [c[1] for c in cells],
+                [c[2] for c in cells],
+                [collect_metrics] * len(cells),
+            )
             for name, cell, payload, took, snapshot, violations \
                     in outcomes:
                 payloads[(name, cell)] = payload

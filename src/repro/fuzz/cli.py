@@ -34,7 +34,7 @@ def build_parser():
         prog="repro fuzz",
         description="seed-deterministic differential fuzzing of the "
                     "nested-virtualization simulator (three execution "
-                    "modes x two simulation kernels per case)",
+                    "modes per case)",
     )
     parser.add_argument("--seed", type=int, default=2019,
                         help="campaign seed (default: 2019)")

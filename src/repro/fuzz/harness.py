@@ -1,16 +1,15 @@
-"""Differential execution of one fuzz case across six machines.
+"""Differential execution of one fuzz case across three machines.
 
 One :class:`~repro.fuzz.case.FuzzCase` runs on a fresh
-:class:`~repro.core.system.Machine` for every (mode, kernel) pair —
-BASELINE / SW_SVT / HW_SVT under both the segment and legacy simulation
-kernels — always with the runtime ordering sanitizer armed.  Each run
-produces a :class:`MachineOutcome`; :func:`evaluate_case` bundles the
-six outcomes with the oracle verdicts (:mod:`repro.fuzz.oracles`) into
-one JSON-ready :class:`CaseReport`.
+:class:`~repro.core.system.Machine` for every execution mode —
+BASELINE / SW_SVT / HW_SVT — always with the runtime ordering sanitizer
+armed.  Each run produces a :class:`MachineOutcome`;
+:func:`evaluate_case` bundles the three outcomes with the oracle
+verdicts (:mod:`repro.fuzz.oracles`) into one JSON-ready
+:class:`CaseReport`.
 
 Instruction ops are batched into :class:`~repro.cpu.isa.Program`
-streams (so loop ops cross the segment-compilation threshold and the
-fast path is genuinely exercised); meta ops flush the batch and poke
+streams (loop ops become repeated programs); meta ops flush the batch and poke
 the machine directly — interrupt-window stress, SEV-Step-style
 single-stepping, simulated-time gaps, and ctxtld/ctxtst bursts in HW
 SVt mode.
@@ -31,14 +30,12 @@ from repro.errors import (CrossContextFault, DeadlockError, ReproError)
 from repro.exp.result import canonical_json
 from repro.fuzz import bugs
 from repro.fuzz.ops import Kind, to_instructions
-from repro.sim import kernel as simkernel
 from repro.sim import sanitizer
 from repro.virt.vmcs import FieldRegistry
 
-#: Every (mode, kernel) combination a case runs under.
+#: Every mode a case runs under.
 MODES = (ExecutionMode.BASELINE, ExecutionMode.SW_SVT,
          ExecutionMode.HW_SVT)
-KERNELS = (simkernel.SEGMENT, simkernel.LEGACY)
 
 #: VMCS fields that legitimately differ across modes.
 SVT_FIELDS = frozenset(
@@ -51,8 +48,8 @@ SVT_FIELDS = frozenset(
 #: **last** VM exit, and with an armed timer interleaving a program the
 #: identity of that last exit is a function of mode-specific costs.
 #: The live architectural state those areas snapshot is compared in
-#: full through the vCPUs; the kernel-identity oracle still compares
-#: the areas byte-for-byte.
+#: full through the vCPUs; the replay oracle still compares the areas
+#: byte-for-byte.
 MODE_VARIANT_FIELDS = SVT_FIELDS | frozenset(
     name for name, fld in FieldRegistry.FIELDS.items()
     if fld.category in ("guest", "exit")
@@ -70,8 +67,7 @@ def sanitized():
     """Arm ``REPRO_SIM_SANITIZE`` for the block (restoring the previous
     setting), so every fuzz machine runs under the ordering sanitizer.
 
-    Implemented through the environment exactly like
-    :func:`repro.sim.kernel.use_kernel`: the flag is how
+    Implemented through the environment: the flag is how
     ``Machine.__init__`` discovers the sanitizer, and pool workers
     inherit it.
     """
@@ -137,10 +133,9 @@ def final_state(machine):
 
 @dataclass
 class MachineOutcome:
-    """Everything one (mode, kernel) run produced."""
+    """Everything one mode's run produced."""
 
     mode: str
-    kernel: str
     state: dict = field(default_factory=dict)
     clock_ns: int = 0
     instructions: int = 0
@@ -178,8 +173,8 @@ class MachineOutcome:
         # TIMER deliveries are mode-variant: re-arming the TSC
         # deadline replaces the previous one only if it has not fired
         # yet, and where the mode-specific clock places the old
-        # deadline relative to the re-arm decides that.  Kernel
-        # identity still compares them byte-for-byte.
+        # deadline relative to the re-arm decides that.  The replay
+        # oracle still compares them byte-for-byte.
         device = [(ctx, vector) for ctx, vector in self.deliveries
                   if vector != Vectors.TIMER]
         by_ctx = Counter(ctx for ctx, _vector in device)
@@ -194,11 +189,10 @@ class MachineOutcome:
             "crash": self.crash,
         }
 
-    def kernel_comparable(self):
-        """The slice that must be byte-equal across simulation kernels
-        for the same mode — everything except the sanitizer stream,
-        whose access timestamps may observe intermediate clock states
-        the segment kernel batches through."""
+    def replay_comparable(self):
+        """The slice that must be byte-equal when the same mode re-runs
+        the same case — everything but the sanitizer stream and the
+        full deadlock report."""
         return {
             "state": self.state,
             "clock_ns": self.clock_ns,
@@ -215,9 +209,8 @@ class MachineOutcome:
         }
 
     def to_dict(self):
-        doc = self.kernel_comparable()
+        doc = self.replay_comparable()
         doc["mode"] = self.mode
-        doc["kernel"] = self.kernel
         doc["deadlock"] = self.deadlock
         doc["sanitizer"] = {
             "count": len(self.sanitizer_reports),
@@ -291,13 +284,12 @@ def _steering_snapshot(machine, steering):
         steering["resolve"] = resolved
 
 
-def run_case_on(mode, kernel, case, bug=None, cost_model=None):
+def run_case_on(mode, case, bug=None, cost_model=None):
     """Execute one case on a fresh machine; never raises for
     simulation-level failures — they land in the outcome."""
-    outcome = MachineOutcome(mode=str(mode), kernel=kernel)
+    outcome = MachineOutcome(mode=str(mode))
     bug_name = bug if bug is not None else case.bug
-    with simkernel.use_kernel(kernel), sanitized(), \
-            costmodels.use_default(cost_model):
+    with sanitized(), costmodels.use_default(cost_model):
         sanitizer.drain()   # isolate this run's reports
         machine = Machine(mode=mode, faults=case.fault_plan)
         if bug_name:
@@ -413,7 +405,7 @@ def _drive(machine, case, outcome):
 
 @dataclass
 class CaseReport:
-    """Six outcomes plus the oracle verdicts for one case."""
+    """Three outcomes plus the oracle verdicts for one case."""
 
     case: object
     outcomes: dict
@@ -430,9 +422,8 @@ class CaseReport:
         return {
             "case": self.case.to_dict(),
             "outcomes": {
-                f"{mode}/{kernel}": outcome.to_dict()
-                for (mode, kernel), outcome in sorted(
-                    self.outcomes.items())
+                str(mode): outcome.to_dict()
+                for mode, outcome in sorted(self.outcomes.items())
             },
             "violations": [v.to_dict() for v in self.violations],
         }
@@ -447,22 +438,19 @@ def evaluate_case(case, bug=None, cost_model=None, replay_check=True):
     from repro.fuzz import oracles
 
     outcomes = {
-        (mode, kernel): run_case_on(mode, kernel, case, bug=bug,
-                                    cost_model=cost_model)
+        mode: run_case_on(mode, case, bug=bug, cost_model=cost_model)
         for mode in MODES
-        for kernel in KERNELS
     }
     violations = oracles.check_oracles(case, outcomes)
     if replay_check:
-        probe = (ExecutionMode.HW_SVT, simkernel.SEGMENT)
-        again = run_case_on(probe[0], probe[1], case, bug=bug,
-                            cost_model=cost_model)
-        first = canonical_json(outcomes[probe].kernel_comparable())
-        second = canonical_json(again.kernel_comparable())
+        probe = ExecutionMode.HW_SVT
+        again = run_case_on(probe, case, bug=bug, cost_model=cost_model)
+        first = canonical_json(outcomes[probe].replay_comparable())
+        second = canonical_json(again.replay_comparable())
         if first != second:
             violations.append(oracles.Violation(
                 oracle="replay",
-                detail="re-running hw_svt/segment from the same seed "
+                detail="re-running hw_svt from the same seed "
                        "produced a different outcome document",
             ))
     return CaseReport(case=case, outcomes=outcomes,

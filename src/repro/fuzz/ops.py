@@ -27,7 +27,7 @@ class Kind:
 
     # -- instruction ops: batched into an L2 program -------------------
     ALU = "alu"                  # {work_ns}
-    ALU_LOOP = "alu_loop"        # {count, work_ns} (segment-compiled)
+    ALU_LOOP = "alu_loop"        # {count, work_ns} (repeated program)
     CPUID = "cpuid"              # {leaf}
     CPUID_LOOP = "cpuid_loop"    # {count, leaf}
     WRMSR_DEADLINE = "wrmsr_deadline"   # {deadline_ns} (arms the timer)
@@ -107,8 +107,7 @@ def to_instructions(op):
 
     Loop ops return ``(instructions, repeat)`` through their single
     entry's repeat count instead of unrolling, so the harness can hand
-    the repeat to :class:`~repro.cpu.isa.Program` and the segment
-    kernel sees a compilable body.
+    the repeat to :class:`~repro.cpu.isa.Program`.
     """
     kind = op.kind
     if kind == Kind.ALU:

@@ -12,8 +12,7 @@ dominant cost in every instruction-heavy cell).
 
 The rule flags every ``<sim>.advance(...)`` call that sits lexically
 inside a ``for``/``while`` loop in the modelling packages
-(``repro.workloads``, ``repro.core``, ``repro.cpu``, ``repro.virt``,
-plus the batch kernel's replay module ``repro.sim.batch``).
+(``repro.workloads``, ``repro.core``, ``repro.cpu``, ``repro.virt``).
 The receiver must look like a simulator (its attribute/name chain
 mentions ``sim``); calls outside loops — setup, single-shot scheduling
 — stay legal.  A loop that genuinely needs drain-per-step semantics
@@ -33,11 +32,7 @@ import ast
 from repro.lint.engine import LintContext, Rule, package_scoped
 from repro.lint.source import SourceFile, suppression_justified
 
-PACKAGES = ("repro.workloads", "repro.core", "repro.cpu", "repro.virt",
-            # The engine package stays exempt (its advance *is* the
-            # primitive), but the batch kernel's replay loops are
-            # modelling code and must charge like any workload.
-            "repro.sim.batch")
+PACKAGES = ("repro.workloads", "repro.core", "repro.cpu", "repro.virt")
 
 #: Minimum justification length (after stripping punctuation) for a
 #: ``disable=SVT006`` comment to count as explained.

@@ -56,10 +56,6 @@ SHARED_MODULES: dict[str, tuple[str, ...]] = {
     # Serve tier: the admission gate is mutated from every connection
     # handler; all traffic must go through its locked try_push/release.
     "repro.serve.admission": ("gate", "admission"),
-    # Batch kernel: a flat replay block carries many cells' clocks and
-    # cursors in one structure, so a write from an unordered path
-    # corrupts every cell in the block, not just one machine.
-    "repro.sim.batch": ("block", "cellblock"),
 }
 
 #: Modules whose functions *are* the ordering primitives.

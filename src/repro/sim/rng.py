@@ -43,23 +43,14 @@ class DeterministicRng:
     def random(self):
         return self._random.random()
 
-    def raw_stream(self):
-        """The underlying uniform stream as a bound ``random()`` method.
-
-        For fast-path replays (``docs/performance.md``) that inline the
-        stdlib samplers bit-exactly: drawing from this stream with the
-        same algorithm consumes the identical variates in the identical
-        order, so fast and reference paths stay bit-for-bit equal.
-        """
-        return self._random.random
-
     def getstate(self):
         """The underlying generator state (MT19937 key + position).
 
-        The batch kernel (``repro.sim.batch``) transfers this state
-        into its compiled replay and pushes the advanced state back
-        through :meth:`setstate`, so a native replay leaves the stream
-        exactly where the equivalent Python draws would have.
+        fig8's native queue loop (``repro.workloads.memcached_native``)
+        transfers this state into its compiled replay and pushes the
+        advanced state back through :meth:`setstate`, so a native
+        replay leaves the stream exactly where the equivalent Python
+        draws would have.
         """
         return self._random.getstate()
 

@@ -25,7 +25,6 @@ from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
 from repro.io.net import Packet, TXQ, install_network
-from repro.sim import kernel as simkernel
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import percentile
 from repro.virt.exits import ExitInfo, ExitReason
@@ -112,21 +111,21 @@ def _serve_one(machine, net, cfg, is_get, op_index):
 #: (mode, config, samples, cost model) serves a whole sweep.  Bypassed
 #: whenever an observer is ambient or the ordering sanitizer is armed:
 #: those want the *events*, not just the result.  Bounded with a full
-#: wipe, like the segment memo.
+#: wipe (no LRU ordering state).
 _SERVICE_MEMO_MAX = 64
 _service_memo = {}
 
 
 def reset_service_memo():
-    """Drop memoized service-time measurements (bench sections isolate
-    kernel timings behind this)."""
+    """Drop memoized service-time measurements (the bench times every
+    experiment from this cold start)."""
     _service_memo.clear()
 
 
 def measure_service(mode=ExecutionMode.BASELINE, config=None, samples=18,
                     costs=None):
     """Mean service time (ns) for GET and SET in a mode."""
-    from repro.cpu import costmodels, segments
+    from repro.cpu import costmodels
     from repro.obs.observer import ambient as obs_ambient
     from repro.sim import sanitizer
 
@@ -135,7 +134,7 @@ def measure_service(mode=ExecutionMode.BASELINE, config=None, samples=18,
     key = None
     if memoizable:
         key = (str(mode), cfg, samples,
-               segments.cost_fingerprint(costmodels.resolve(costs)))
+               costmodels.fingerprint(costmodels.resolve(costs)))
         cached = _service_memo.get(key)
         if cached is not None:
             return cached
@@ -161,37 +160,36 @@ def measure_service(mode=ExecutionMode.BASELINE, config=None, samples=18,
 def _queueing_run(get_ns, set_ns, offered_kqps, cfg, rng, requests=30_000):
     """FCFS multi-server queue; returns (avg_us, p99_us) of sojourn.
 
-    Dispatches to the compiled request-segment replay under the
-    ``segment`` kernel (docs/performance.md) whenever the workload shape
-    allows it, and under the ``batch`` kernel additionally tries the
-    native compile-once replay (``repro.sim.batch``); the reference
-    loop stays the semantic definition and the ``legacy`` kernel's
-    path.  All paths are bit-for-bit identical.
+    Served by the self-checked native loop
+    (:mod:`repro.workloads.memcached_native`) when it is available and
+    the shape is one it compiles; otherwise by the reference loop.  Both
+    give identical bytes.  The serving backend is recorded for
+    ``repro bench`` and the obs metrics, never in the result.  The
+    native module (ctypes, the compiler probe) loads here, at the first
+    queue run, so experiments without one never pay for it.
     """
-    kernel = simkernel.active_kernel()
-    compiled_shape = (cfg.servers == 2 and cfg.key_space > 1
-                      and cfg.service_jitter_sigma > 0
-                      and get_ns > 0 and set_ns > 0)
-    if kernel == simkernel.BATCH and compiled_shape:
-        outcome = _queueing_run_batch(get_ns, set_ns, offered_kqps,
-                                      cfg, rng, requests)
-        if outcome is not None:
-            return outcome
-        # Native tier unavailable (no compiler / self-check failed):
-        # the batch kernel degrades to the segment fast path, which is
-        # bit-identical, so the kernel never loses to segment.
-        return _queueing_run_fast(get_ns, set_ns, offered_kqps, cfg,
-                                  rng, requests)
-    if kernel != simkernel.LEGACY and compiled_shape:
-        return _queueing_run_fast(get_ns, set_ns, offered_kqps, cfg,
-                                  rng, requests)
+    from repro.workloads import memcached_native
+
+    if (cfg.servers == 2 and cfg.key_space > 1
+            and cfg.service_jitter_sigma > 0
+            and get_ns > 0 and set_ns > 0 and requests > 0):
+        lib = memcached_native.library()
+        if lib is not None:
+            memcached_native.record(memcached_native.NATIVE)
+            return _queueing_run_native(lib, get_ns, set_ns,
+                                        offered_kqps, cfg, rng, requests)
+        _, reason = memcached_native.status()
+    else:
+        reason = memcached_native.UNSUPPORTED_SHAPE
+    memcached_native.record(memcached_native.REFERENCE, reason)
     return _queueing_run_reference(get_ns, set_ns, offered_kqps, cfg,
                                    rng, requests)
 
 
 def _queueing_run_reference(get_ns, set_ns, offered_kqps, cfg, rng,
                             requests=30_000):
-    """The per-request loop, one rng helper call per draw (legacy)."""
+    """The per-request loop, one rng helper call per draw: the semantic
+    definition the native loop is checked against."""
     arrival_mean_ns = 1e6 / offered_kqps
     servers = [0.0] * cfg.servers
     clock = 0.0
@@ -212,98 +210,36 @@ def _queueing_run_reference(get_ns, set_ns, offered_kqps, cfg, rng,
 
 
 #: Kinderman-Monahan constant, exactly as CPython's random.normalvariate
-#: uses it (stable across the 3.9-3.13 line; the differential tests
-#: below and in tests/workloads guard against upstream drift).
+#: uses it (stable across the 3.9-3.13 line; the native self-check
+#: guards against upstream drift).
 _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 
-def _queueing_run_fast(get_ns, set_ns, offered_kqps, cfg, rng,
-                       requests=30_000):
-    """Segment-compiled replay of the reference loop (bit-exact).
+def _queueing_run_native(lib, get_ns, set_ns, offered_kqps, cfg, rng,
+                         requests):
+    """The reference loop for two servers with jitter, run natively.
 
-    The per-request "segment" — arrival draw, GET/SET split, key
-    popularity draw, log-normal service draw, 2-server FCFS dispatch —
-    is compiled down to local arithmetic over the raw uniform stream:
-    the stdlib samplers (``expovariate``, ``lognormvariate`` via
-    Kinderman-Monahan ``normalvariate``) are inlined with their exact
-    algorithms, and the per-mode constants (``lambd``, the two
-    log-normal ``mu`` values) are hoisted out of the loop.  Exactly one
-    zipf popularity variate is consumed and discarded per request, as
-    in the reference (`zipf_index` draws once for ``key_space > 1``).
-    Guarded by the dispatcher to the shapes it compiles for
-    (two servers, jitter > 0); anything else takes the reference loop.
+    Hoists the per-mode constants the inlined samplers need (``lambd``
+    and the two log-normal ``mu`` values), sums the sojourns with
+    :func:`sum` exactly as the reference does, and interpolates the p99
+    from the two order statistics the C loop selected with
+    :func:`repro.sim.stats.percentile`'s arithmetic.
     """
-    random = rng.raw_stream()
-    log = math.log
-    exp = math.exp
-    lambd = 1.0 / (1e6 / offered_kqps)
-    p_get = cfg.get_fraction
-    sigma = cfg.service_jitter_sigma
-    half_var = sigma * sigma / 2.0
-    mu_get = log(get_ns) - half_var
-    mu_set = log(set_ns) - half_var
-    nv_magic = _NV_MAGICCONST
-    server0 = 0.0
-    server1 = 0.0
-    clock = 0.0
-    sojourns = []
-    append = sojourns.append
-    for _ in range(requests):
-        # expovariate(lambd), inlined.
-        clock += -log(1.0 - random()) / lambd
-        is_get = random() < p_get
-        random()  # zipf popularity draw (index unused by the model)
-        mu = mu_get if is_get else mu_set
-        # lognormvariate = exp(normalvariate(mu, sigma)), inlined
-        # (Kinderman-Monahan rejection sampling).
-        while True:
-            u1 = random()
-            u2 = 1.0 - random()
-            z = nv_magic * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -log(u2):
-                break
-        service = exp(mu + z * sigma)
-        # Two-server FCFS: ties pick server 0, same as min() over the
-        # list in the reference.
-        if server0 <= server1:
-            start = clock if clock > server0 else server0
-            server0 = start + service
-            append(server0 - clock)
-        else:
-            start = clock if clock > server1 else server1
-            server1 = start + service
-            append(server1 - clock)
-    avg = sum(sojourns) / len(sojourns) / 1000.0
-    return avg, percentile(sojourns, 99) / 1000.0
+    from repro.workloads import memcached_native
 
-
-def _queueing_run_batch(get_ns, set_ns, offered_kqps, cfg, rng,
-                        requests=30_000):
-    """Batch-kernel replay: the whole load point in one native call.
-
-    The per-request segment is identical to :func:`_queueing_run_fast`;
-    what changes is *where* it runs — a compile-once C kernel
-    (``repro.sim.batch.queue_replay``) that draws from the transferred
-    MT19937 state and hands back the sojourn total (left-folded in
-    generation order, like ``sum``) plus the p99 sojourn (the exact
-    two order statistics ``stats.percentile`` would interpolate,
-    selected in O(n)).  Returns ``None`` when the native tier is
-    unavailable, in which case the caller falls back to the fast path.
-    """
-    from repro.sim import batch
-
-    lambd = 1.0 / (1e6 / offered_kqps)
     half_var = cfg.service_jitter_sigma * cfg.service_jitter_sigma / 2.0
-    outcome = batch.queue_replay(
-        rng, requests, lambd, cfg.get_fraction,
-        cfg.service_jitter_sigma,
+    rank = (99 / 100) * (requests - 1)
+    k = math.floor(rank)
+    sojourns, lo, hi = memcached_native.replay(
+        lib, rng, requests, k, 1.0 / (1e6 / offered_kqps),
+        cfg.get_fraction, cfg.service_jitter_sigma,
         math.log(get_ns) - half_var, math.log(set_ns) - half_var,
-        _NV_MAGICCONST, pct=99,
+        _NV_MAGICCONST,
     )
-    if outcome is None:
-        return None
-    total, p99 = outcome
-    return total / requests / 1000.0, p99 / 1000.0
+    avg = sum(sojourns) / len(sojourns) / 1000.0
+    frac = rank - k
+    p99 = lo if not frac else lo * (1 - frac) + hi * frac
+    return avg, p99 / 1000.0
 
 
 def run(mode=ExecutionMode.BASELINE, config=None, loads_kqps=None, seed=42,

@@ -1,10 +1,9 @@
-"""The bench harness: document shape, regression compare, floors, CLI."""
+"""The bench harness: document shape, regression compare, CLI."""
 
 import json
 
 from repro.exp import bench
 from repro.exp.result import canonical_json
-from repro.sim import kernel as simkernel
 
 
 def _doc(wall_by_name, section="smoke"):
@@ -26,64 +25,33 @@ def _doc(wall_by_name, section="smoke"):
 
 
 def test_bench_section_shape():
-    section = bench.bench_section(
-        ["table1"], smoke=True, repeats=1,
-        kernels=(simkernel.SEGMENT, simkernel.LEGACY))
-    entry = section["experiments"]["table1"]
-    assert entry["cells"] >= 1
-    segment = entry["kernels"][simkernel.SEGMENT]
-    legacy = entry["kernels"][simkernel.LEGACY]
-    assert segment["wall_s"] > 0
-    assert set(segment["cell_wall_s"]) and all(
-        wall >= 0 for wall in segment["cell_wall_s"].values())
-    assert set(segment["memo"]) == {"hits", "misses", "wipes",
-                                    "entries"}
-    assert legacy["wall_s"] > 0
-    assert entry["speedup"] > 0
-    assert set(entry["cell_speedup"]) == set(segment["cell_wall_s"])
-    assert section["totals"]["wall_s"][simkernel.SEGMENT] > 0
-    assert section["totals"]["speedup"] > 0
-
-
-def test_bench_section_without_legacy_column():
-    section = bench.bench_section(["table1"], smoke=True, repeats=1,
-                                  kernels=(simkernel.SEGMENT,))
-    entry = section["experiments"]["table1"]
-    assert list(entry["kernels"]) == [simkernel.SEGMENT]
-    assert "speedup" not in entry
-    assert "speedup" not in section["totals"]
-
-
-def test_bench_section_batch_kernel_columns():
     section = bench.bench_section(["table1"], smoke=True, repeats=1)
     entry = section["experiments"]["table1"]
-    assert set(entry["kernels"]) == set(simkernel.KERNELS)
-    batch_timing = entry["kernels"][simkernel.BATCH]
-    assert set(batch_timing["batch"]) >= {"cells_batched",
-                                          "native_calls"}
-    assert entry["batch_speedup"] > 0
-    assert entry["batch_vs_segment"] > 0
-    assert section["totals"]["batch_speedup"] > 0
+    assert entry["cells"] >= 1
+    assert entry["wall_s"] > 0
+    assert set(entry["cell_wall_s"]) and all(
+        wall >= 0 for wall in entry["cell_wall_s"].values())
+    assert entry["instructions"] > 0
+    # table1 runs no ETC queue: no backend entry, never a zero count.
+    assert "queue_backend" not in entry
+    assert section["totals"]["wall_s"] > 0
+
+
+def test_bench_section_records_queue_backend():
+    from repro.workloads import memcached_native
+
+    section = bench.bench_section(["fig8"], smoke=True, repeats=1)
+    entry = section["experiments"]["fig8"]
+    backend = memcached_native.label(*memcached_native.status())
+    assert entry["queue_backend"] == {backend: 16}
 
 
 def test_bench_document_is_json_serializable():
     doc = bench.bench_document(["table1"], sections=("smoke",),
-                               repeats=1, legacy=False)
+                               repeats=1)
     assert doc["schema"] == bench.SCHEMA
     assert doc["kernel_version"]
-    assert simkernel.LEGACY not in doc["kernels"]
-    assert simkernel.BATCH in doc["kernels"]
     json.loads(canonical_json(doc))
-
-
-def test_bench_document_kernel_subset():
-    doc = bench.bench_document(["table1"], sections=("smoke",),
-                               repeats=1,
-                               kernels=(simkernel.BATCH,))
-    assert doc["kernels"] == [simkernel.BATCH]
-    entry = doc["sections"]["smoke"]["experiments"]["table1"]
-    assert list(entry["kernels"]) == [simkernel.BATCH]
-    assert "speedup" not in entry
 
 
 # -- compare ---------------------------------------------------------------
@@ -116,105 +84,21 @@ def test_compare_ignores_unknown_sections():
     assert bench.compare(current, baseline) == []
 
 
-def test_render_mentions_speedups():
+def test_render_mentions_walls_and_backends():
     section = {
         "experiments": {
-            "fig8": {
-                "cells": 2,
-                "kernels": {
-                    "segment": {"wall_s": 0.5, "events_per_s": 10,
-                                "instructions_per_s": 1000,
-                                "memo": {"hits": 3, "misses": 1,
-                                         "wipes": 0}},
-                    "batch": {"wall_s": 0.1,
-                              "batch": {"native_calls": 16}},
-                    "legacy": {"wall_s": 1.5},
-                },
-                "speedup": 3.0, "batch_speedup": 15.0,
-                "batch_vs_segment": 5.0,
-            },
+            "fig8": {"cells": 2, "wall_s": 0.5, "events_per_s": 10,
+                     "instructions_per_s": 1000,
+                     "queue_backend": {"native": 16}},
+            "table1": {"cells": 3, "wall_s": 0.25},
         },
-        "totals": {"wall_s": {"segment": 0.5, "batch": 0.1,
-                              "legacy": 1.5},
-                   "speedup": 3.0, "batch_speedup": 15.0,
-                   "batch_vs_segment": 5.0},
+        "totals": {"wall_s": 0.75},
     }
     text = bench.render({"sections": {"smoke": section}})
-    assert "fig8" in text
-    assert "3.00x" in text
-    assert "5.00x" in text
-    assert "batch_speedup 15.00x" in text
-    assert "native 16 call(s)" in text
-
-
-# -- check_floors ----------------------------------------------------------
-
-
-def _kernel_doc(walls_by_name, section="full"):
-    return {
-        "schema": bench.SCHEMA,
-        "sections": {
-            section: {
-                "experiments": {
-                    name: {"cells": 1, "kernels": {
-                        kernel: {"wall_s": wall}
-                        for kernel, wall in walls.items()
-                    }}
-                    for name, walls in walls_by_name.items()
-                },
-                "totals": {"wall_s": {}},
-            },
-        },
-    }
-
-
-def test_check_floors_passes_a_healthy_document():
-    doc = _kernel_doc({
-        "fig8": {"segment": 0.4, "batch": 0.03, "legacy": 1.0},
-        "table1": {"segment": 0.01, "batch": 0.009, "legacy": 0.012},
-    })
-    assert bench.check_floors(doc) == []
-
-
-def test_check_floors_flags_batch_losing_to_segment():
-    doc = _kernel_doc({
-        "fig9": {"segment": 0.4, "batch": 0.6, "legacy": 1.0},
-    })
-    bars = [f["bar"] for f in bench.check_floors(doc)]
-    assert "batch_vs_segment" in bars
-
-
-def test_check_floors_flags_segment_losing_to_legacy():
-    doc = _kernel_doc({
-        "ablation_hw_model": {"segment": 0.5, "batch": 0.4,
-                              "legacy": 0.3},
-    })
-    bars = [f["bar"] for f in bench.check_floors(doc)]
-    assert "speedup" in bars
-
-
-def test_check_floors_enforces_fig8_tentpole_bars():
-    doc = _kernel_doc({
-        "fig8": {"segment": 0.5, "batch": 0.2, "legacy": 1.0},
-    })
-    bars = {f["bar"] for f in bench.check_floors(doc)}
-    assert "fig8_batch_vs_legacy" in bars      # 5x < 10x floor
-    assert "fig8_batch_vs_segment" in bars     # 2.5x < 3x floor
-
-
-def test_check_floors_fig8_bars_apply_to_full_section_only():
-    doc = _kernel_doc({
-        "fig8": {"segment": 0.5, "batch": 0.2, "legacy": 1.0},
-    }, section="smoke")
-    bars = {f["bar"] for f in bench.check_floors(doc)}
-    assert "fig8_batch_vs_legacy" not in bars
-
-
-def test_check_floors_tolerates_noise_floor_jitter():
-    doc = _kernel_doc({
-        "table1": {"segment": 0.004, "batch": 0.006, "legacy": 0.005},
-    })
-    assert bench.check_floors(doc) == []
+    assert "fig8" in text and "table1" in text
+    assert "0.5000" in text
+    assert "native x16" in text
+    assert "total: 0.75s" in text
 
 
 # -- CLI -------------------------------------------------------------------
@@ -225,7 +109,7 @@ def test_cli_bench_writes_document_and_checks_baseline(tmp_path, capsys):
 
     out = tmp_path / "bench.json"
     code = main(["bench", "--smoke", "--experiments", "table1",
-                 "--repeats", "1", "--no-legacy", "--out", str(out)])
+                 "--repeats", "1", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == bench.SCHEMA
@@ -236,7 +120,7 @@ def test_cli_bench_writes_document_and_checks_baseline(tmp_path, capsys):
     # load can jitter far past the default 25%; the flag is what is
     # under test here, not the machine's scheduler.)
     code = main(["bench", "--smoke", "--experiments", "table1",
-                 "--repeats", "1", "--no-legacy",
+                 "--repeats", "1",
                  "--baseline", str(out), "--out", str(out),
                  "--threshold", "100", "--check"])
     assert code == 0
@@ -246,16 +130,15 @@ def test_cli_bench_writes_document_and_checks_baseline(tmp_path, capsys):
     # above compare()'s noise floor and absolute regression slack,
     # unlike table1's single cell.
     code = main(["bench", "--smoke", "--experiments", "fig7",
-                 "--repeats", "1", "--no-legacy", "--out", str(out)])
+                 "--repeats", "1", "--out", str(out)])
     assert code == 0
     slow = json.loads(out.read_text())
     entry = slow["sections"]["smoke"]["experiments"]["fig7"]
-    for timing in entry["kernels"].values():
-        timing["wall_s"] = timing["wall_s"] / 1000.0
+    entry["wall_s"] = entry["wall_s"] / 1000.0
     baseline_path = tmp_path / "tiny.json"
     baseline_path.write_text(json.dumps(slow))
     code = main(["bench", "--smoke", "--experiments", "fig7",
-                 "--repeats", "1", "--no-legacy",
+                 "--repeats", "1",
                  "--baseline", str(baseline_path),
                  "--out", str(out), "--check"])
     assert code == 1
@@ -278,3 +161,17 @@ def test_compare_requires_absolute_regression_delta():
     current = _doc({"jittery": 0.070, "big": 1.3})
     regressions = bench.compare(current, baseline)
     assert [r["experiment"] for r in regressions] == ["big"]
+
+
+def test_cli_bench_check_rejects_a_baseline_of_another_schema(
+        tmp_path, capsys):
+    from repro.cli import main
+
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"schema": "repro-bench/2",
+                               "sections": {}}))
+    code = main(["bench", "--smoke", "--experiments", "table1",
+                 "--repeats", "1", "--baseline", str(old),
+                 "--out", str(tmp_path / "bench.json"), "--check"])
+    assert code == 1
+    assert "repro-bench/2" in capsys.readouterr().err

@@ -52,27 +52,3 @@ def test_smoke_overlay_applies():
     report = run_experiments(["fig6"], jobs=1, smoke=True)
     assert report.results["fig6"].params_dict["iterations"] == \
         registry.get("fig6").smoke["iterations"]
-
-
-def test_grouped_preserves_cell_order_within_groups():
-    from repro.exp.runner import _grouped
-
-    cells = [("a", "c1", {}), ("a", "c2", {}), ("b", "c1", {}),
-             ("a", "c3", {}), ("b", "c2", {})]
-    groups = _grouped(cells)
-    assert [[cell[:2] for cell in group] for group in groups] == [
-        [("a", "c1"), ("a", "c2"), ("a", "c3")],
-        [("b", "c1"), ("b", "c2")],
-    ]
-
-
-def test_batch_kernel_grouped_fanout_matches_serial_document():
-    from repro.exp.runner import run_experiments
-    from repro.sim import kernel as simkernel
-
-    with simkernel.use_kernel(simkernel.BATCH):
-        serial = run_experiments(["fig8", "table1"], jobs=1,
-                                 cache=None, smoke=True)
-        pooled = run_experiments(["fig8", "table1"], jobs=2,
-                                 cache=None, smoke=True)
-    assert pooled.to_document() == serial.to_document()

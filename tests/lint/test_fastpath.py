@@ -96,7 +96,6 @@ def test_rule_scoped_to_modelling_packages():
                    "repro.lint.fastpath"):
         assert lint_text(snippet, module, FastPathRule()) == [], module
     for module in ("repro.workloads.tpcc", "repro.core.system",
-                   "repro.cpu.smt", "repro.virt.nested",
-                   "repro.sim.batch"):
+                   "repro.cpu.smt", "repro.virt.nested"):
         findings = lint_text(snippet, module, FastPathRule())
         assert hits(findings) == [("SVT006", 3)], module

@@ -20,14 +20,11 @@ def test_bad_tree_flags_both_access_styles():
         ("SVT007", "glue.py", 16),      # serve: mutator call
         ("SVT007", "handler.py", 12),   # attribute store
         ("SVT007", "handler.py", 16),   # mutator call
-        ("SVT007", "replay.py", 12),    # batch: attribute store
-        ("SVT007", "replay.py", 16),    # batch: mutator call
     ]
 
 
 def test_messages_name_class_field_and_contexts():
-    (gate_store, gate_mutator, store, mutator,
-     block_store, block_mutator) = race_findings("bad")
+    gate_store, gate_mutator, store, mutator = race_findings("bad")
     assert "Vmcs.loaded" in store.message
     assert "device" in store.message and "hypervisor" in store.message
     assert "CommandRing.reset" in mutator.message
@@ -35,10 +32,6 @@ def test_messages_name_class_field_and_contexts():
     assert ("serve-client" in gate_store.message
             and "serve-worker" in gate_store.message)
     assert "AdmissionGate.clear" in gate_mutator.message
-    assert "CellBlock.clock" in block_store.message
-    assert ("device" in block_store.message
-            and "guest" in block_store.message)
-    assert "CellBlock.skip" in block_mutator.message
 
 
 def test_ok_tree_is_quiet():

@@ -77,80 +77,68 @@ def test_ept_misconfig_dominates_profile():
         or profile.get("EPT_MISCONFIG", 0) > 0.04
 
 
-def test_fast_queueing_loop_is_bit_identical_to_reference():
-    """The inlined-sampler fast loop replays the reference bit-for-bit."""
-    from repro.sim.rng import DeterministicRng
-
-    cfg = memcached.EtcConfig()
-    for seed in (1, 42, 9001):
-        for load in (5.0, 12.5, 22.5):
-            reference = memcached._queueing_run_reference(
-                2600.0, 5800.0, load, cfg,
-                DeterministicRng(seed).fork(f"t:{load}"), requests=6_000)
-            fast = memcached._queueing_run_fast(
-                2600.0, 5800.0, load, cfg,
-                DeterministicRng(seed).fork(f"t:{load}"), requests=6_000)
-            assert fast == reference
-
-
 def test_queueing_dispatch_falls_back_on_unsupported_shapes():
-    """Shapes the fast loop does not compile take the reference path."""
-    from repro.sim import kernel as simkernel
+    """Shapes the native loop does not compile take the reference path,
+    and the reason is recorded."""
     from repro.sim.rng import DeterministicRng
+    from repro.workloads import memcached_native
 
     odd = memcached.EtcConfig(servers=3)
-    with simkernel.use_kernel(simkernel.SEGMENT):
-        dispatched = memcached._queueing_run(
-            2600.0, 5800.0, 10.0, odd, DeterministicRng(7),
-            requests=3_000)
+    memcached_native.reset_served()
+    dispatched = memcached._queueing_run(
+        2600.0, 5800.0, 10.0, odd, DeterministicRng(7), requests=3_000)
     reference = memcached._queueing_run_reference(
         2600.0, 5800.0, 10.0, odd, DeterministicRng(7), requests=3_000)
     assert dispatched == reference
+    assert memcached_native.served() == {
+        "reference (unsupported shape)": 1}
+    memcached_native.reset_served()
 
 
-def test_batch_queueing_is_bit_identical_to_reference():
-    """The native compile-once replay reproduces the reference loop
-    bit-for-bit, rng end position included."""
-    import pytest as _pytest
-
-    from repro.sim import batch
+def test_native_queueing_is_bit_identical_to_reference():
+    """The native loop reproduces the reference loop bit-for-bit, rng
+    end position included."""
     from repro.sim.rng import DeterministicRng
+    from repro.workloads import memcached_native
 
-    if batch.native_kernel() is None:
-        _pytest.skip("no native tier on this platform")
+    lib = memcached_native.library()
+    if lib is None:
+        pytest.skip(f"native backend unavailable: "
+                    f"{memcached_native.status()[1]}")
     cfg = memcached.EtcConfig()
     for seed in (1, 42):
         for load in (5.0, 22.5):
             ref_rng = DeterministicRng(seed).fork(f"b:{load}")
-            bat_rng = DeterministicRng(seed).fork(f"b:{load}")
+            nat_rng = DeterministicRng(seed).fork(f"b:{load}")
             reference = memcached._queueing_run_reference(
                 2600.0, 5800.0, load, cfg, ref_rng, requests=6_000)
-            batched = memcached._queueing_run_batch(
-                2600.0, 5800.0, load, cfg, bat_rng, requests=6_000)
-            assert batched == reference
+            native = memcached._queueing_run_native(
+                lib, 2600.0, 5800.0, load, cfg, nat_rng, requests=6_000)
+            assert native == reference
             # The rng must sit exactly where the reference loop left
-            # it — the property that makes mid-sweep kernel changes
-            # undetectable in any downstream draw.
-            assert bat_rng.getstate() == ref_rng.getstate()
+            # it, so no downstream draw can tell the backends apart.
+            assert nat_rng.getstate() == ref_rng.getstate()
 
 
-def test_batch_dispatch_degrades_to_fast_path_without_native_tier(
-        monkeypatch):
-    """REPRO_SIM_KERNEL=batch without a native tier must equal the
-    segment fast path (and therefore the reference), not fail."""
-    from repro.sim import batch
-    from repro.sim import kernel as simkernel
+def test_dispatch_serves_reference_without_compiler(monkeypatch):
+    """No C compiler: the reference serves, with the reason recorded."""
     from repro.sim.rng import DeterministicRng
+    from repro.workloads import memcached_native
 
-    monkeypatch.setenv(batch.NATIVE_ENV_VAR, "0")
-    batch.reset_native_probe()
+    monkeypatch.setattr(memcached_native, "_compiler", lambda: None)
+    memcached_native.reset_probe()
+    memcached_native.reset_served()
     try:
-        with simkernel.use_kernel(simkernel.BATCH):
-            dispatched = memcached._queueing_run(
-                2600.0, 5800.0, 12.5, memcached.EtcConfig(),
-                DeterministicRng(11), requests=3_000)
+        dispatched = memcached._queueing_run(
+            2600.0, 5800.0, 12.5, memcached.EtcConfig(),
+            DeterministicRng(11), requests=3_000)
+        assert memcached_native.status() == (
+            memcached_native.REFERENCE, memcached_native.NO_COMPILER)
+        assert memcached_native.served() == {
+            "reference (no compiler)": 1}
     finally:
-        batch.reset_native_probe()
+        memcached_native.reset_probe()
+        memcached_native.reset_served()
     reference = memcached._queueing_run_reference(
         2600.0, 5800.0, 12.5, memcached.EtcConfig(),
         DeterministicRng(11), requests=3_000)
