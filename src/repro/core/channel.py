@@ -23,13 +23,11 @@ Robustness (see ``docs/robustness.md``):
   :class:`~repro.faults.injector.FaultInjector` may drop, duplicate,
   delay (head-of-line, ``visible_at``) or corrupt a pushed command, or
   lose the consumer's wakeup.  Commands are *sealed* with a payload
-  checksum at push time so receivers detect corruption, and carry an
+  snapshot at push time so receivers detect corruption, and carry an
   exchange id (``xid``) so retransmissions and duplicates deduplicate.
 """
 
 import itertools
-import json
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -46,10 +44,13 @@ class CommandKind:
     ALL = (VM_TRAP, VM_RESUME, BLOCKED)
 
 
-def _payload_checksum(payload):
-    """Deterministic payload digest (order-independent encoding)."""
-    encoded = json.dumps(payload, sort_keys=True, default=repr)
-    return zlib.crc32(encoded.encode("utf-8"))
+def _frozen(value):
+    """Deep snapshot of a payload that no later mutation of it reaches."""
+    if isinstance(value, dict):
+        return {key: _frozen(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_frozen, value))
+    return frozenset(value) if isinstance(value, set) else value
 
 
 @dataclass
@@ -63,8 +64,8 @@ class Command:
     #: Exchange id: retransmissions of one logical command share it, so
     #: receivers can discard duplicates.  -1 = unassigned.
     xid: int = -1
-    #: Payload checksum taken at push time (0 = unsealed).
-    checksum: int = 0
+    #: Payload snapshot taken at push time (None = unsealed).
+    sealed: object = None
     #: Sim time before which the command is invisible (delay faults).
     visible_at: int = 0
 
@@ -73,13 +74,12 @@ class Command:
             raise ChannelError(f"unknown command kind {self.kind!r}")
 
     def seal(self):
-        """Stamp the payload checksum (the producer's end-to-end seal)."""
-        self.checksum = _payload_checksum(self.payload)
-        return self.checksum
+        """Snapshot the payload (the producer's end-to-end seal)."""
+        self.sealed = _frozen(self.payload)
 
     def verify(self):
-        """True when the payload still matches its seal."""
-        return self.checksum == _payload_checksum(self.payload)
+        """True when the payload still equals its snapshot (any key order)."""
+        return self.sealed == self.payload
 
 
 class CommandRing:

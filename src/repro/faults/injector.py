@@ -154,8 +154,8 @@ class FaultInjector:
     def corrupt_payload(self, payload, ring_name):
         """Deterministically scramble one payload entry in place.
 
-        Returns the corrupted key.  The command's seal (checksum) was
-        computed before this mutation, so receivers detect the damage
+        Returns the corrupted key.  The command's seal (payload snapshot)
+        was taken before this mutation, so receivers detect the damage
         via :meth:`repro.core.channel.Command.verify`.
         """
         rng = self.stream(f"corrupt:{ring_name}")

@@ -111,25 +111,47 @@ class EptTable:
         (e.g. L0's EPT for L1) into a direct table — what L0 builds into
         vmcs02's EPT pointer.  Inner MMIO regions survive unchanged (they
         must keep trapping); inner RAM ranges are re-based through the
-        outer table, splitting when they straddle outer mappings."""
+        outer table, splitting exactly where they straddle outer mappings
+        whose host-physical ranges are not contiguous.
+
+        The walk is over intervals, so the cost is O(ranges), not
+        O(pages).  An inner range not fully covered by outer RAM raises
+        what ``outer.translate`` raises at its first uncovered address:
+        :class:`EptMisconfig` on outer MMIO, else :class:`EptFault`."""
         composed = EptTable(name=f"{self.name}*{outer.name}")
         for region in self._mmio:
             composed.map_mmio(region.base, region.size, region.device)
+        outer_bases, outer_ranges = outer._bases, outer._ranges
+        last = len(outer_ranges) - 1
+        # Inner ranges are sorted and disjoint and the pieces of one are
+        # emitted in address order, so appending keeps the table sorted
+        # and needs no overlap check.
         for base, size, mid in self._ranges:
-            offset = 0
-            while offset < size:
-                hpa = outer.translate(mid + offset)
-                # Extend the run as far as the outer mapping is contiguous.
-                run = 1
-                step = 4096
-                while offset + run * step < size:
-                    nxt = outer.translate(mid + offset + run * step)
-                    if nxt != hpa + run * step:
+            cursor, end = mid, mid + size
+            while cursor < end:
+                idx = bisect.bisect_right(outer_bases, cursor) - 1
+                if idx < 0 or cursor >= (outer_ranges[idx][0]
+                                         + outer_ranges[idx][1]):
+                    region = outer.lookup_mmio(cursor)
+                    if region is not None:
+                        raise EptMisconfig(cursor, region)
+                    raise EptFault(cursor)
+                obase, osize, ohpa = outer_ranges[idx]
+                hpa = ohpa + (cursor - obase)
+                stop = obase + osize
+                # Merge the following outer ranges while they continue
+                # the run in both guest- and host-physical space.
+                while stop < end and idx < last:
+                    nbase, nsize, nhpa = outer_ranges[idx + 1]
+                    if nbase != stop or nhpa != hpa + (stop - cursor):
                         break
-                    run += 1
-                chunk = min(run * step, size - offset)
-                composed.map_range(base + offset, chunk, hpa)
-                offset += chunk
+                    idx += 1
+                    stop = nbase + nsize
+                stop = min(stop, end)
+                gpa = base + (cursor - mid)
+                composed._bases.append(gpa)
+                composed._ranges.append((gpa, stop - cursor, hpa))
+                cursor = stop
         return composed
 
     def invalidate(self):

@@ -25,8 +25,24 @@ _GUEST_STATE_FIELDS = tuple(FieldRegistry.names(category="guest"))
 #: translated on the way).
 _CONTROL_FIELDS = tuple(FieldRegistry.names(category="control"))
 
+#: The address-bearing controls: L1 guest-physical in vmcs12, host-
+#: physical in vmcs02.
+_ADDRESS_CONTROLS = tuple(
+    FieldRegistry.names(category="control", address_bearing=True)
+)
+
 #: Exit-information fields reflected 02 -> 12 after a nested trap.
 _EXIT_FIELDS = tuple(FieldRegistry.names(category="exit"))
+
+#: The exit field holding a host-physical address L1 must see in its own
+#: guest-physical space.
+_EXIT_ADDRESS = FieldRegistry.get("guest_physical_address").name
+
+#: Whole field tables moved by each direction, in the order the fields
+#: are written.  Built from the registry, so every name is valid and the
+#: copies need no per-field lookup.
+_COPIED_12_TO_02 = _GUEST_STATE_FIELDS + _CONTROL_FIELDS
+_REFLECTED_02_TO_12 = _GUEST_STATE_FIELDS + _EXIT_FIELDS
 
 #: Sentinel host-physical address standing in for L0's VM-exit entry point.
 L0_HANDLER_ENTRY = 0xFFFF_8000_0000_0000
@@ -71,16 +87,15 @@ def transform_12_to_02(vmcs12, vmcs02, ept01, policy, composed_ept=None,
 
     Returns the names of address-bearing fields that were translated.
     """
+    values12 = vmcs12._values
     translated = []
-    for name in _GUEST_STATE_FIELDS:
-        vmcs02.write(name, vmcs12.read(name), force=True)
-    for name in _CONTROL_FIELDS:
-        fld = FieldRegistry.get(name)
-        value = vmcs12.read(name)
-        if fld.address_bearing and isinstance(value, int) and value != 0:
-            value = ept01.translate(value)
+    rewritten = {}
+    for name in _ADDRESS_CONTROLS:
+        value = values12.get(name, 0)
+        if isinstance(value, int) and value != 0:
+            rewritten[name] = ept01.translate(value)
             translated.append(name)
-        vmcs02.write(name, value, force=True)
+    vmcs02.copy_fields(vmcs12, _COPIED_12_TO_02, rewritten)
 
     # Host-state area of vmcs02 is L0's own, never L1's: a trap from L2
     # must always land in L0 first (paper Fig. 1 step 1).  The sentinel
@@ -101,7 +116,7 @@ def transform_12_to_02(vmcs12, vmcs02, ept01, policy, composed_ept=None,
     vmcs02.take_dirty()
     if obs is not None:
         obs.count("vmcs_fields_copied_total", direction="12->02",
-                  n=len(_GUEST_STATE_FIELDS) + len(_CONTROL_FIELDS))
+                  n=len(_COPIED_12_TO_02))
         obs.count("vmcs_fields_translated_total", direction="12->02",
                   n=len(translated))
     return translated
@@ -116,17 +131,12 @@ def transform_02_to_12(vmcs02, vmcs12, ept01, obs=None):
 
     Returns the reflected field names.
     """
-    reflected = []
-    for name in _GUEST_STATE_FIELDS:
-        vmcs12.write(name, vmcs02.read(name), force=True)
-        reflected.append(name)
-    for name in _EXIT_FIELDS:
-        value = vmcs02.read(name)
-        if name == "guest_physical_address" and isinstance(value, int) \
-                and value != 0:
-            value = ept01.inverse(value)
-        vmcs12.write(name, value, force=True)
-        reflected.append(name)
+    rewritten = {}
+    value = vmcs02._values.get(_EXIT_ADDRESS, 0)
+    if isinstance(value, int) and value != 0:
+        rewritten[_EXIT_ADDRESS] = ept01.inverse(value)
+    vmcs12.copy_fields(vmcs02, _REFLECTED_02_TO_12, rewritten)
+    reflected = list(_REFLECTED_02_TO_12)
     vmcs12.take_dirty()
     if obs is not None:
         obs.count("vmcs_fields_copied_total", direction="02->12",

@@ -112,6 +112,13 @@ class FieldRegistry:
         return out
 
 
+#: The fields hardware writes on every VM trap (:meth:`Vmcs.record_exit`),
+#: in write order; looked up once here so an unknown name fails at import.
+_EXIT_RECORD_FIELDS = tuple(FieldRegistry.get(name).name for name in (
+    "exit_reason", "exit_qualification", "guest_rip", "instruction_length",
+))
+
+
 class Vmcs:
     """One VM state descriptor.
 
@@ -162,6 +169,26 @@ class Vmcs:
         self._values[field_name] = value
         self._dirty.add(field_name)
 
+    def copy_fields(self, source, names, rewritten):
+        """Bulk ``self.write(name, source.read(name), force=True)`` for
+        every name in ``names``, with ``rewritten[name]`` stored in place
+        of the source value where given (translated addresses).
+
+        ``names`` must be registered fields: callers validate their field
+        tables once, at import, so no per-field registry lookup is done
+        here.  Under an active sanitizer the same loop records the
+        per-field read and write events the checked accessors would."""
+        read = source._values.get
+        values = self._values
+        san = _san.ACTIVE
+        for name in names:
+            if san is not None:
+                san.record(f"vmcs:{source.name}", name, "r", "Vmcs.read")
+                san.record(f"vmcs:{self.name}", name, "w", "Vmcs.write")
+            values[name] = read(name, 0)
+        values.update(rewritten)
+        self._dirty.update(names)
+
     # -- shadowed access (used by a guest hypervisor on its own VMCS) -----
 
     def guest_read(self, field_name):
@@ -195,12 +222,16 @@ class Vmcs:
 
     def record_exit(self, exit_info):
         """Hardware writing the exit-information area on a VM trap."""
-        self.write("exit_reason", exit_info.reason, force=True)
-        self.write("exit_qualification",
-                   dict(exit_info.qualification), force=True)
-        self.write("guest_rip", exit_info.guest_rip)
-        self.write("instruction_length",
-                   exit_info.instruction_length, force=True)
+        san = _san.ACTIVE
+        if san is not None:
+            for name in _EXIT_RECORD_FIELDS:
+                san.record(f"vmcs:{self.name}", name, "w", "Vmcs.write")
+        values = self._values
+        values["exit_reason"] = exit_info.reason
+        values["exit_qualification"] = dict(exit_info.qualification)
+        values["guest_rip"] = exit_info.guest_rip
+        values["instruction_length"] = exit_info.instruction_length
+        self._dirty.update(_EXIT_RECORD_FIELDS)
 
     def snapshot(self):
         return dict(self._values)

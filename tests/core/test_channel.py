@@ -1,5 +1,7 @@
 """SW SVt command rings: FIFO, bounds, trap/resume protocol."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -310,3 +312,50 @@ def test_sealed_command_verifies_until_mutated():
     assert command.verify()
     command.payload["a"] = 2
     assert not command.verify()
+
+
+def _trap_payload(order=1):
+    """An enter_l1 payload; ``order=-1`` builds it in reverse key order."""
+    regs = dict(list({f"r{i}": 0x1000 + i for i in range(16)}.items())
+                [::order])
+    items = [("exit_reason", "EPT_MISCONFIG"),
+             ("qualification", {"gpa": 0xFEB00000, "write": True}),
+             ("regs", regs), ("rip", -1)]
+    return dict(items[::order])
+
+
+def test_seal_holds_for_untouched_payload_in_any_key_order():
+    command = Command(CommandKind.VM_TRAP, _trap_payload())
+    assert not command.verify()          # unsealed
+    command.seal()
+    assert command.verify()
+    command.payload = _trap_payload(order=-1)
+    assert list(command.payload) != list(_trap_payload())
+    assert command.verify()
+
+
+@pytest.mark.parametrize("path", [("regs", "r3"),
+                                  ("qualification", "gpa"),
+                                  ("qualification", "extra")])
+def test_seal_breaks_on_nested_in_place_change(path):
+    command = Command(CommandKind.VM_TRAP, _trap_payload())
+    command.seal()
+    outer, inner = path
+    command.payload[outer][inner] = 0xBAD
+    assert not command.verify()
+
+
+def test_seal_breaks_on_every_injected_corruption():
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
+
+    payloads = (_trap_payload(), {"regs": {"rax": 1}}, {})
+    picked = set()
+    for seed in range(40):
+        injector = FaultInjector(FaultPlan(seed=seed))
+        for payload in payloads:
+            command = Command(CommandKind.VM_RESUME, copy.deepcopy(payload))
+            command.seal()
+            picked.add(injector.corrupt_payload(command.payload, "r"))
+            assert not command.verify()
+    assert picked == set(_trap_payload()) | {"regs", "corrupted"}

@@ -123,3 +123,113 @@ def test_property_compose_equals_two_step(gpa):
                         0x40000000 + (page * 7 % 64) * 0x1000)
     composed = inner.compose(outer)
     assert composed.translate(gpa) == outer.translate(inner.translate(gpa))
+
+
+def test_compose_splits_at_unaligned_outer_boundary():
+    # The second outer range starts mid-page: a 4 KiB page walk would
+    # extend the first run through 0x1FFF and map 0x1800 -> 0x101800.
+    outer = EptTable()
+    outer.map_range(0x0, 0x1800, 0x100000)
+    outer.map_range(0x1800, 0x2800, 0x900000)
+    inner = EptTable()
+    inner.map_range(0x0, 0x4000, 0x0)
+    composed = inner.compose(outer)
+    assert composed.translate(0x17FF) == 0x1017FF
+    assert composed.translate(0x1800) == 0x900000
+    assert composed._ranges == [(0x0, 0x1800, 0x100000),
+                                (0x1800, 0x2800, 0x900000)]
+
+
+# -- compose against a walk reference over random layouts -----------------
+
+
+def walk_compose(inner, outer, step):
+    """Reference compose: walk every ``step`` bytes of each inner range
+    through ``outer.translate`` and extend a run while the translation
+    stays contiguous.  With ``step`` = 4096 this is the page walk the
+    interval compose replaced; it is exact on layouts whose every
+    boundary is a multiple of ``step``.  Returns the ``_ranges`` list."""
+    ranges = []
+    for base, size, mid in inner._ranges:
+        offset = 0
+        while offset < size:
+            hpa = outer.translate(mid + offset)
+            run = 1
+            while offset + run * step < size:
+                nxt = outer.translate(mid + offset + run * step)
+                if nxt != hpa + run * step:
+                    break
+                run += 1
+            chunk = min(run * step, size - offset)
+            ranges.append((base + offset, chunk, hpa))
+            offset += chunk
+    return ranges
+
+
+def _segments(max_units, max_target, max_size):
+    return st.lists(st.tuples(
+        st.sampled_from(("ram", "ram", "ram", "ram", "gap", "mmio")),
+        st.integers(min_value=1, max_value=max_units),  # size in units
+        st.integers(min_value=0, max_value=max_target),  # target, units
+        st.booleans(),                      # continue the host-physical run
+    ), min_size=1, max_size=max_size)
+
+
+def _build(segments, unit, start, host_base, name):
+    """Lay ``segments`` end to end from ``start``; RAM targets are
+    ``host_base``-relative unit offsets, or continue the previous RAM
+    range's target when its flag is set."""
+    table = EptTable(name)
+    cursor, next_target = start, None
+    for kind, size_units, target_units, cont in segments:
+        size = size_units * unit
+        if kind == "ram":
+            target = (next_target if cont and next_target is not None
+                      else host_base + target_units * unit)
+            table.map_range(cursor, size, target)
+            next_target = target + size
+        else:
+            next_target = None
+            if kind == "mmio":
+                table.map_mmio(cursor, size, NullDevice("d", cursor))
+        cursor += size
+    return table
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except EptFault as err:
+        return type(err), err.gpa
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit=st.sampled_from((0x1000, 0x100, 0x10, 0x1)),
+       outer_segments=_segments(max_units=3, max_target=64, max_size=12),
+       inner_segments=_segments(max_units=8, max_target=12, max_size=5))
+def test_property_compose_matches_walk_and_two_step(unit, outer_segments,
+                                                    inner_segments):
+    outer = _build(outer_segments, unit, 0, 0x4000_0000, "outer")
+    # Inner RAM targets land in [0, 20 units) of L1 space, so ranges
+    # over outer gaps, outer MMIO and past the outer table all occur.
+    inner = _build(inner_segments, unit, 0x10 * unit, 0, "inner")
+
+    composed = _outcome(inner.compose, outer)
+    reference = _outcome(walk_compose, inner, outer, unit)
+    if reference[0] != "ok":
+        # An uncovered inner range raises what outer.translate raises
+        # at its first uncovered address.
+        assert composed == reference
+        return
+    assert composed[0] == "ok", composed
+    table = composed[1]
+    assert table._ranges == reference[1]
+    assert table._bases == [base for base, _, _ in table._ranges]
+    assert [(r.base, r.size, r.device) for r in table._mmio] == [
+        (r.base, r.size, r.device) for r in inner._mmio]
+
+    end = 0x10 * unit + sum(size for _, size, _, _ in inner_segments) * unit
+    for gpa in range(0, end + unit, max(1, unit // 4)):
+        # RAM, inner MMIO (EptMisconfig) and inner holes (EptFault) alike.
+        assert _outcome(table.translate, gpa) == _outcome(
+            lambda g: outer.translate(inner.translate(g)), gpa)

@@ -2,15 +2,20 @@
 
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, FaultPlan
+from repro.faults.scenario import VmcsScrubber
+from repro.sim import sanitizer
 from repro.virt.ept import EptTable
 from repro.virt.exits import ExitInfo, ExitReason
 from repro.virt.transform import (
+    L0_HANDLER_ENTRY,
     L0Policy,
     sync_shadow_to_vmcs12,
     transform_02_to_12,
     transform_12_to_02,
 )
-from repro.virt.vmcs import Vmcs
+from repro.virt.vmcs import FieldRegistry, Vmcs
 
 
 @pytest.fixture
@@ -131,3 +136,149 @@ def test_sync_shadow_carries_trap_configuration():
     sync_shadow_to_vmcs12(vmcs01p, vmcs12)
     assert 0x6E0 in vmcs12.trapped_msrs
     assert vmcs12.force_tsc_exit
+
+
+# -- bulk field-table copies against a per-field reference ----------------
+
+
+def reference_12_to_02(vmcs12, vmcs02, ept01, policy, composed_ept=None,
+                       obs=None):
+    """Per-field transform through the checked accessors."""
+    translated = []
+    for name in FieldRegistry.names(category="guest"):
+        vmcs02.write(name, vmcs12.read(name), force=True)
+    for name in FieldRegistry.names(category="control"):
+        value = vmcs12.read(name)
+        if (FieldRegistry.get(name).address_bearing
+                and isinstance(value, int) and value != 0):
+            value = ept01.translate(value)
+            translated.append(name)
+        vmcs02.write(name, value, force=True)
+    vmcs02.write("host_rip", L0_HANDLER_ENTRY, force=True)
+    vmcs02.trapped_msrs = set(vmcs12.trapped_msrs) | set(
+        policy.forced_msr_traps)
+    vmcs02.trapped_io_ports = set(vmcs12.trapped_io_ports) | set(
+        policy.forced_io_traps)
+    vmcs02.force_tsc_exit = vmcs12.force_tsc_exit or policy.force_tsc_exit
+    if composed_ept is not None:
+        vmcs02.ept = composed_ept
+    vmcs02.take_dirty()
+    if obs is not None:
+        obs.count("vmcs_fields_copied_total", direction="12->02",
+                  n=len(FieldRegistry.names(category="guest"))
+                  + len(FieldRegistry.names(category="control")))
+        obs.count("vmcs_fields_translated_total", direction="12->02",
+                  n=len(translated))
+    return translated
+
+
+def reference_02_to_12(vmcs02, vmcs12, ept01, obs=None):
+    reflected = []
+    for name in FieldRegistry.names(category="guest"):
+        vmcs12.write(name, vmcs02.read(name), force=True)
+        reflected.append(name)
+    for name in FieldRegistry.names(category="exit"):
+        value = vmcs02.read(name)
+        if name == "guest_physical_address" and isinstance(value, int) \
+                and value != 0:
+            value = ept01.inverse(value)
+        vmcs12.write(name, value, force=True)
+        reflected.append(name)
+    vmcs12.take_dirty()
+    if obs is not None:
+        obs.count("vmcs_fields_copied_total", direction="02->12",
+                  n=len(reflected))
+    return reflected
+
+
+def reference_record_exit(vmcs, exit_info):
+    vmcs.write("exit_reason", exit_info.reason, force=True)
+    vmcs.write("exit_qualification", dict(exit_info.qualification),
+               force=True)
+    vmcs.write("guest_rip", exit_info.guest_rip)
+    vmcs.write("instruction_length", exit_info.instruction_length,
+               force=True)
+
+
+class EventLog:
+    """Stands in for both the sanitizer and the observer: keeps every
+    access event and counter bump in arrival order."""
+
+    def __init__(self):
+        self.events = []
+        self.counts = []
+
+    def record(self, owner, field, op, site):
+        self.events.append((owner, field, op, site))
+
+    def count(self, name, n=1, **labels):
+        self.counts.append((name, n, sorted(labels.items())))
+
+
+def _world():
+    """vmcs12/vmcs02 with corner values: a zero and a non-integer
+    address-bearing control, a host-physical exit address, stale vmcs02
+    state and pending dirty fields on both sides."""
+    vmcs12, vmcs02 = make_vmcs12(), Vmcs("vmcs02")
+    vmcs12.write("io_bitmap_addr", 0)
+    vmcs12.write("virtual_apic_addr", "unset")
+    vmcs12.write("exception_bitmap", 0x60042)
+    vmcs12.write("svt_vm", 1)
+    vmcs12.trapped_io_ports.add(0x3F8)
+    vmcs02.write("svt_vm", 2)
+    vmcs02.write("guest_rsp", 0xDEAD)
+    vmcs02.write("guest_physical_address", 0x40007000, force=True)
+    return vmcs12, vmcs02
+
+
+def _state(vmcs):
+    return (list(vmcs._values.items()), set(vmcs._dirty),
+            vmcs.trapped_msrs, vmcs.trapped_io_ports, vmcs.force_tsc_exit,
+            vmcs.ept)
+
+
+def _exercise(transforms, record_exit, ept01, composed, chaos):
+    """One reflected trap: 12->02, hardware exit info, 02->12."""
+    to_02, to_12 = transforms
+    vmcs12, vmcs02 = _world()
+    log = EventLog()
+    out = [to_02(vmcs12, vmcs02, ept01, L0Policy(forced_io_traps={0x80}),
+                 composed_ept=composed, obs=log)]
+    if chaos:
+        injector = FaultInjector(FaultPlan(
+            seed=11, rates=((FaultKind.VMCS_FLIP, 1.0),)))
+        scrubber = VmcsScrubber(vmcs02, faults=injector)
+        for _ in range(3):
+            injector.corrupt_vmcs(vmcs02)
+            scrubber.scrub()
+        injector.corrupt_vmcs(vmcs02)       # left unrepaired
+        out.append(to_02(vmcs12, vmcs02, ept01, L0Policy(), obs=log))
+    record_exit(vmcs02, ExitInfo(ExitReason.EPT_VIOLATION, {"gpa": 0x7000},
+                                 guest_rip=0x1004, instruction_length=3))
+    out.append(to_12(vmcs02, vmcs12, ept01, obs=log))
+    record_exit(vmcs12, ExitInfo(ExitReason.CPUID, {"leaf": 1},
+                                 guest_rip=0x1006))
+    out.append(to_12(vmcs02, vmcs12, ept01, obs=log))
+    return out, _state(vmcs12), _state(vmcs02), log.counts
+
+
+@pytest.mark.parametrize("chaos", [False, True])
+@pytest.mark.parametrize("sanitized", [False, True])
+def test_bulk_transforms_match_per_field_reference(ept01, monkeypatch,
+                                                   chaos, sanitized):
+    composed = EptTable("composed")
+    runs = []
+    for transforms, record_exit in (
+            ((transform_12_to_02, transform_02_to_12), Vmcs.record_exit),
+            ((reference_12_to_02, reference_02_to_12),
+             reference_record_exit)):
+        san = EventLog() if sanitized else None
+        monkeypatch.setattr(sanitizer, "ACTIVE", san)
+        run = _exercise(transforms, record_exit, ept01, composed, chaos)
+        runs.append(run + (san.events if san is not None else None,))
+    bulk, reference = runs
+    # Translated/reflected lists, both descriptors' values (in insertion
+    # order), dirty and trap sets, obs counters and sanitizer events.
+    assert bulk == reference
+    if sanitized:
+        assert len(bulk[-1]) > 100

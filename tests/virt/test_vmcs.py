@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import VmcsError
+from repro.sim import sanitizer
 from repro.virt.exits import ExitInfo, ExitReason
 from repro.virt.vmcs import FieldRegistry, Vmcs
 
@@ -94,3 +95,35 @@ def test_snapshot_is_copy():
 def test_exit_info_rejects_unknown_reason():
     with pytest.raises(ValueError):
         ExitInfo("WARP_FAULT")
+
+
+class AccessLog:
+    """Stands in for the sanitizer: keeps every recorded access."""
+
+    def __init__(self):
+        self.events = []
+
+    def record(self, owner, field, op, site):
+        self.events.append((owner, field, op, site))
+
+
+def test_copy_fields_is_a_bulk_forced_write(monkeypatch):
+    names = ("guest_rip", "exit_reason", "ept_pointer", "guest_cr3")
+    rewritten = {"ept_pointer": 0x40005000}
+    runs = []
+    for bulk in (True, False):
+        log = AccessLog()
+        monkeypatch.setattr(sanitizer, "ACTIVE", log)
+        source, target = Vmcs("src"), Vmcs("dst")
+        source.write("guest_rip", 0x1000)
+        source.write("ept_pointer", 0x5000)
+        target.write("guest_cr3", 7)
+        if bulk:
+            target.copy_fields(source, names, rewritten)
+        else:
+            for name in names:
+                value = source.read(name)
+                target.write(name, rewritten.get(name, value), force=True)
+        runs.append((list(target._values.items()), target.dirty_fields,
+                     log.events))
+    assert runs[0] == runs[1]
