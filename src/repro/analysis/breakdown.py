@@ -1,32 +1,20 @@
 """Time-breakdown accounting (paper Table 1 and the §6.2/§6.3 profiles)."""
 
-from repro.sim.trace import Category
+from repro.sim.trace import TABLE1_ROWS
 
 
-def table1_rows(tracer, operations=1):
-    """Render a tracer's totals as the paper's Table 1 rows.
+def table1_rows(totals, operations=1):
+    """Render category totals (a ``{category: ns}`` mapping) as the
+    paper's Table 1 rows ``[(label, us, percent)]``, per operation.
 
-    Lazy save/restore is folded into the L0/L1 handler rows, exactly as
-    the paper folds it ("some of the context switching costs in (1) and
-    (4) are folded into (3) and (5)").  Returns
-    ``[(label, us, percent)]``.
+    Each category is divided by ``operations`` before the folded
+    categories of a row (:data:`~repro.sim.trace.TABLE1_ROWS`) are
+    added; the committed Table 1 bytes depend on that order.
     """
-    per_op = {
-        key: tracer.totals.get(key, 0) / operations
-        for key in tracer.totals
-    }
+    per_op = {key: totals[key] / operations for key in totals}
     rows = [
-        ("0 L2", per_op.get(Category.GUEST_WORK, 0)),
-        ("1 Switch L2<->L0", per_op.get(Category.SWITCH_L2_L0, 0)),
-        ("2 Transform vmcs02/vmcs12",
-         per_op.get(Category.VMCS_TRANSFORM, 0)),
-        ("3 L0 handler",
-         per_op.get(Category.L0_HANDLER, 0)
-         + per_op.get(Category.L0_LAZY_SWITCH, 0)),
-        ("4 Switch L0<->L1", per_op.get(Category.SWITCH_L0_L1, 0)),
-        ("5 L1 handler",
-         per_op.get(Category.L1_HANDLER, 0)
-         + per_op.get(Category.L1_LAZY_SWITCH, 0)),
+        (label, sum(per_op.get(category, 0) for category in categories))
+        for label, categories in TABLE1_ROWS
     ]
     total = sum(ns for _, ns in rows) or 1
     return [(label, ns / 1000.0, 100.0 * ns / total) for label, ns in rows]

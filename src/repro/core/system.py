@@ -65,7 +65,7 @@ class Machine:
     """A full simulated host running the paper's L0/L1/L2 stack."""
 
     def __init__(self, mode=ExecutionMode.BASELINE, costs=None, config=None,
-                 wait_mechanism="mwait", placement="smt", keep_events=False,
+                 wait_mechanism="mwait", placement="smt",
                  engine_factory=None, observer=None, faults=None,
                  watchdog=None):
         """``engine_factory(sim, tracer, costs, core, channels)`` replaces
@@ -98,8 +98,7 @@ class Machine:
         if observer is None:
             observer = obs_ambient()
         self.obs = observer
-        self.tracer = Tracer(keep_events=keep_events,
-                             clock=self._read_clock)
+        self.tracer = Tracer()
         if observer is not None:
             observer.bind(self.sim)
             self.sim.obs = observer
@@ -458,7 +457,7 @@ class Machine:
                 + sum(self.stack.aux_exit_counts.values()))
 
     def _read_clock(self):
-        """Zero-argument clock handed to the tracer's span API."""
+        """Zero-argument clock for the sanitizer and the command rings."""
         return self.sim.now
 
     def _charge(self, ns, category):

@@ -22,7 +22,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.obs.metrics import merge_snapshots
 from repro.obs.observer import Observer
 from repro.obs.spans import CAT_CHARGE, Span
-from repro.sim.trace import Category
 
 #: Chrome pid for the single simulated process.
 TRACE_PID = 0
@@ -122,17 +121,6 @@ def write_metrics(path: Any, snapshots: Iterable[Dict[str, Any]],
 # Table 1 from a trace
 # ---------------------------------------------------------------------------
 
-#: Table 1 rows: label plus the charge categories folded into it (the
-#: paper folds lazy save/restore into the handler rows).
-TABLE1_FOLD: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("0 L2", (Category.GUEST_WORK,)),
-    ("1 Switch L2<->L0", (Category.SWITCH_L2_L0,)),
-    ("2 Transform vmcs02/vmcs12", (Category.VMCS_TRANSFORM,)),
-    ("3 L0 handler", (Category.L0_HANDLER, Category.L0_LAZY_SWITCH)),
-    ("4 Switch L0<->L1", (Category.SWITCH_L0_L1,)),
-    ("5 L1 handler", (Category.L1_HANDLER, Category.L1_LAZY_SWITCH)),
-)
-
 
 def charge_totals(spans: Iterable[Span]) -> Dict[str, int]:
     """Summed duration (ns) per category over the charge spans."""
@@ -158,11 +146,14 @@ def charge_totals_from_events(events: Iterable[Dict[str, Any]]) \
 
 def trace_breakdown(source: Any, operations: int = 1) \
         -> List[Tuple[str, float, float]]:
-    """Table 1 rows ``[(label, us, percent)]`` from a live trace.
+    """Table 1 rows ``[(label, us, percent)]`` from a live trace,
+    folded by :func:`repro.analysis.breakdown.table1_rows`.
 
     ``source`` may be an :class:`Observer`, a span iterable, a Chrome
     trace document (dict with ``traceEvents``) or a path to one on disk.
     """
+    from repro.analysis.breakdown import table1_rows
+
     if isinstance(source, Observer):
         if source.spans is None:
             raise ValueError("observer was built with tracing disabled")
@@ -179,14 +170,7 @@ def trace_breakdown(source: Any, operations: int = 1) \
             )
     else:
         totals = dict(charge_totals(source))
-    rows = [
-        (label, sum(totals.get(cat, 0) for cat in categories)
-         / operations)
-        for label, categories in TABLE1_FOLD
-    ]
-    whole = sum(ns for _, ns in rows) or 1
-    return [(label, ns / 1000.0, 100.0 * ns / whole)
-            for label, ns in rows]
+    return table1_rows(totals, operations)
 
 
 def render_breakdown(rows: List[Tuple[str, float, float]],

@@ -126,16 +126,16 @@ class Observer:
         return _SpanContext(self.spans,
                             self.spans.begin(name, level=level, **args))
 
-    def charge(self, category: str, ns: int,
-               meta: Optional[dict] = None) -> None:
+    def charge(self, category: str, ns: int) -> None:
         """A tracer charge: emit the interval ``[now - ns, now]`` as a
-        charge span (the simulator advanced before recording)."""
+        charge span with no args (the simulator advanced before
+        recording)."""
         if self.spans is None:
             return
         level = CATEGORY_LEVEL.get(category)
         now = self.now()
         self.spans.emit(category, now - ns, now, level=level,
-                        cat=CAT_CHARGE, **(meta or {}))
+                        cat=CAT_CHARGE)
 
     # -- metrics ---------------------------------------------------------
 

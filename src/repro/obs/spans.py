@@ -123,13 +123,3 @@ class SpanRecorder:
         indexed.sort(key=lambda pair: (pair[1].start_ns, pair[1].depth,
                                        pair[0]))
         return [span for _, span in indexed]
-
-    def totals_by_name(self, cat: Optional[str] = None) -> dict:
-        """Summed duration per span name (optionally one category)."""
-        totals: dict = {}
-        for span in self.spans:
-            if cat is not None and span.cat != cat:
-                continue
-            totals[span.name] = (totals.get(span.name, 0)
-                                 + span.duration_ns)
-        return dict(sorted(totals.items()))

@@ -1,10 +1,12 @@
 """Discrete-event simulation substrate used by every other subpackage.
 
 The simulator keeps an integer nanosecond clock.  Synchronous "machine"
-code advances time by charging costs (:meth:`Simulator.advance`), while
+code advances time by charging costs (:meth:`Simulator.charge`), while
 asynchronous events (interrupt arrivals, client requests) are scheduled
 with :meth:`Simulator.after` / :meth:`Simulator.at` and fire in timestamp
-order whenever the clock sweeps past them.
+order whenever the clock sweeps past them.  :meth:`Simulator.advance` is
+``charge``'s reference twin: the fast-path property test checks that
+both leave the same clock and fire the same events.
 """
 
 from repro.sim.engine import EventHandle, Simulator, SimulationError
@@ -17,14 +19,10 @@ from repro.sim.stats import (
     stddev,
     summarize,
 )
-from repro.sim.timeline import Span, Timeline, record_exit_timeline
 from repro.sim.trace import Tracer, Category
 
 __all__ = [
     "Category",
-    "Span",
-    "Timeline",
-    "record_exit_timeline",
     "DeterministicRng",
     "EventHandle",
     "SimulationError",

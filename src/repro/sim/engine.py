@@ -233,9 +233,10 @@ class Simulator:
     def advance(self, ns):
         """Advance the clock by ``ns``, firing events that fall due.
 
-        Synchronous machine code uses this to charge execution costs.
-        Events fire with ``now`` set to their own deadline; after the last
-        due event the clock lands exactly on the target time.
+        The reference semantics :meth:`charge` (which machine code
+        calls) is property-tested against.  Events fire with ``now`` set
+        to their own deadline; after the last due event the clock lands
+        exactly on the target time.
         """
         if ns < 0:
             raise SimulationError(f"cannot advance by negative time {ns}")
@@ -338,11 +339,6 @@ class Simulator:
     def unpark(self, name):
         """Remove a parked waiter (no-op when not parked)."""
         self._waiters.pop(name, None)
-
-    @property
-    def parked(self):
-        """Sorted names of currently parked waiters."""
-        return sorted(self._waiters)
 
     def deadlock_report(self, kind="deadlock", events_fired=0, detail=""):
         """Build a :class:`DeadlockReport` from the current waiter set."""

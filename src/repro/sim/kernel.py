@@ -65,22 +65,6 @@ class KernelStats:
     def instructions(self):
         return sum(m.instructions_retired for m in self._machines)
 
-    @property
-    def compactions(self):
-        return sum(sim.compactions for sim in self._simulators)
-
-    @property
-    def simulators(self):
-        return len(self._simulators)
-
-    def to_dict(self):
-        return {
-            "events_fired": self.events_fired,
-            "instructions": self.instructions,
-            "compactions": self.compactions,
-            "simulators": self.simulators,
-        }
-
 
 _COLLECTORS = []
 

@@ -3,11 +3,11 @@
 Every nanosecond the machine charges is attributed to a category.  The
 categories mirror the breakdown rows of the paper's Table 1, plus extra
 buckets used by the I/O and application models.  The Table 1 reproduction
-(`repro.analysis.breakdown`) simply reads these totals back.
+(`repro.analysis.breakdown.table1_rows`) folds these totals back into the
+paper's rows through :data:`TABLE1_ROWS`.
 """
 
 from collections import defaultdict
-from contextlib import contextmanager
 
 
 class Category:
@@ -31,116 +31,48 @@ class Category:
     WATCHDOG = "watchdog"                # fault-recovery backoff waits
     IDLE = "idle"                        # waiting with no one running
 
-    TABLE1_PARTS = (
-        GUEST_WORK,
-        SWITCH_L2_L0,
-        VMCS_TRANSFORM,
-        L0_HANDLER,
-        SWITCH_L0_L1,
-        L1_HANDLER,
-    )
+
+#: The paper's Table 1 rows: label plus the categories folded into it.
+#: Lazy save/restore folds into the handler rows, as the paper folds it
+#: ("some of the context switching costs in (1) and (4) are folded into
+#: (3) and (5)").
+TABLE1_ROWS = (
+    ("0 L2", (Category.GUEST_WORK,)),
+    ("1 Switch L2<->L0", (Category.SWITCH_L2_L0,)),
+    ("2 Transform vmcs02/vmcs12", (Category.VMCS_TRANSFORM,)),
+    ("3 L0 handler", (Category.L0_HANDLER, Category.L0_LAZY_SWITCH)),
+    ("4 Switch L0<->L1", (Category.SWITCH_L0_L1,)),
+    ("5 L1 handler", (Category.L1_HANDLER, Category.L1_LAZY_SWITCH)),
+)
 
 
 class Tracer:
-    """Accumulates per-category time and (optionally) an event log.
+    """Accumulates per-category charged time and charge counts.
 
     ``observer`` (a :class:`repro.obs.Observer`, attached by the
     machine when observability is on) receives every charge as a span;
-    ``clock`` (a zero-argument callable returning simulated ns) enables
-    the :meth:`span` self-time API.  Both default off, keeping the
-    disabled hot path identical to the pre-observability code.
+    it defaults off, keeping the disabled hot path to two dict updates.
     """
 
-    def __init__(self, keep_events=False, clock=None):
+    def __init__(self):
         self.totals = defaultdict(int)
         self.counts = defaultdict(int)
-        self.keep_events = keep_events
-        self.events = []
         self.observer = None
-        self.clock = clock
-        #: Open :meth:`span` frames: ``[category, start_ns, child_ns]``.
-        self._span_stack = []
 
-    def record(self, category, ns, **meta):
+    def record(self, category, ns):
         """Attribute ``ns`` nanoseconds to ``category``."""
         if ns < 0:
             raise ValueError(f"negative trace charge {ns} for {category}")
         self.totals[category] += ns
         self.counts[category] += 1
-        if self.keep_events:
-            self.events.append((category, ns, meta))
         if self.observer is not None:
-            self.observer.charge(category, ns, meta or None)
-
-    @contextmanager
-    def span(self, category, **meta):
-        """Attribute a clocked interval's **self-time** to ``category``.
-
-        Nested spans subtract cleanly: a parent is charged its elapsed
-        time minus the *whole* elapsed time of its direct children, so
-        every simulated nanosecond inside the outermost span lands in
-        exactly one category.  This holds for recursive re-entry of the
-        same category too — each frame tracks only its direct children's
-        elapsed time, so a re-entered category's inner frame cannot be
-        double-counted against both its own total and its ancestors'
-        (the historical drift bug: subtracting recursive child time from
-        every ancestor frame pushed category totals below the wall
-        elapsed time; see ``tests/sim/test_trace.py``).
-        """
-        if self.clock is None:
-            raise ValueError("Tracer.span needs a clock "
-                             "(Tracer(clock=...) or tracer.clock = ...)")
-        frame = [category, self.clock(), 0]
-        self._span_stack.append(frame)
-        try:
-            yield
-        finally:
-            # A reset() mid-span discards the open frames; in that case
-            # there is nothing left to charge this window against.
-            if self._span_stack and self._span_stack[-1] is frame:
-                self._span_stack.pop()
-                elapsed = self.clock() - frame[1]
-                self_ns = elapsed - frame[2]
-                if self_ns < 0:
-                    raise ValueError(
-                        f"span {category!r}: child time {frame[2]} "
-                        f"exceeds elapsed {elapsed}"
-                    )
-                self.record(category, self_ns, **meta)
-                if self._span_stack:
-                    # Only the *direct* parent absorbs this frame's
-                    # whole window; grandparents see it through the
-                    # parent's.
-                    self._span_stack[-1][2] += elapsed
+            self.observer.charge(category, ns)
 
     def total(self, *categories):
         """Sum of the given categories (all categories when none given)."""
         if not categories:
             return sum(self.totals.values())
         return sum(self.totals.get(c, 0) for c in categories)
-
-    def share(self, category):
-        """Fraction of all traced time spent in ``category``."""
-        whole = self.total()
-        if whole == 0:
-            return 0.0
-        return self.totals.get(category, 0) / whole
-
-    def merged_with(self, other):
-        """Return a new tracer with both tracers' totals summed."""
-        merged = Tracer(keep_events=False)
-        for src in (self, other):
-            for category, ns in src.totals.items():
-                merged.totals[category] += ns
-            for category, n in src.counts.items():
-                merged.counts[category] += n
-        return merged
-
-    def reset(self):
-        self.totals.clear()
-        self.counts.clear()
-        self.events.clear()
-        self._span_stack.clear()
 
     def snapshot(self):
         """Plain-dict copy of the totals (useful for diffs in tests)."""

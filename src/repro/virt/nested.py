@@ -432,11 +432,3 @@ class NestedStack:
         if ns:
             self.sim.charge(ns)
             self.tracer.record(category, ns)
-
-    def profile_share(self, reason):
-        """Fraction of all exit-handling time spent on one reason —
-        the quantity behind the paper's §6.2/§6.3 profiling claims."""
-        total = sum(self.exit_ns.values()) + sum(self.aux_exit_ns.values())
-        if total == 0:
-            return 0.0
-        return self.exit_ns.get(reason, 0) / total

@@ -7,6 +7,7 @@ workload"*; repeated until the mean stabilises per the §6 protocol.
 
 from dataclasses import dataclass
 
+from repro.analysis.breakdown import table1_rows
 from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
@@ -77,8 +78,6 @@ def table1_breakdown(costs=None, iterations=50):
     The hidden lazy save/restore shares are folded into the L0/L1 handler
     rows exactly as the paper folds them.
     """
-    from repro.sim.trace import Category
-
     machine = Machine(mode=ExecutionMode.BASELINE, costs=costs)
     machine.run_program(isa.Program([isa.cpuid()], repeat=1))
     before = machine.tracer.snapshot()
@@ -87,19 +86,4 @@ def table1_breakdown(costs=None, iterations=50):
         key: machine.tracer.totals[key] - before.get(key, 0)
         for key in machine.tracer.totals
     }
-    per_op = {key: value / iterations for key, value in totals.items()}
-
-    rows = [
-        ("0 L2", per_op.get(Category.GUEST_WORK, 0)),
-        ("1 Switch L2<->L0", per_op.get(Category.SWITCH_L2_L0, 0)),
-        ("2 Transform vmcs02/vmcs12", per_op.get(Category.VMCS_TRANSFORM, 0)),
-        ("3 L0 handler", per_op.get(Category.L0_HANDLER, 0)
-         + per_op.get(Category.L0_LAZY_SWITCH, 0)),
-        ("4 Switch L0<->L1", per_op.get(Category.SWITCH_L0_L1, 0)),
-        ("5 L1 handler", per_op.get(Category.L1_HANDLER, 0)
-         + per_op.get(Category.L1_LAZY_SWITCH, 0)),
-    ]
-    total = sum(ns for _, ns in rows)
-    return [
-        (label, ns / 1000.0, 100.0 * ns / total) for label, ns in rows
-    ]
+    return table1_rows(totals, iterations)

@@ -10,14 +10,14 @@ from repro.analysis.breakdown import (
 from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
-from repro.sim.trace import Category, Tracer
+from repro.sim.trace import Category
 from repro.virt.exits import ExitInfo, ExitReason
 
 
 def test_table1_rows_from_real_run():
     machine = Machine(mode=ExecutionMode.BASELINE)
     machine.run_program(isa.Program([isa.cpuid()], repeat=4))
-    rows = table1_rows(machine.tracer, operations=4)
+    rows = table1_rows(machine.tracer.totals, operations=4)
     as_dict = {label: (us, pct) for label, us, pct in rows}
     assert as_dict["3 L0 handler"][0] == pytest.approx(4.89, abs=0.01)
     assert sum(us for us, _ in as_dict.values()) == pytest.approx(
@@ -26,11 +26,24 @@ def test_table1_rows_from_real_run():
 
 
 def test_table1_rows_fold_lazy_into_handlers():
-    tracer = Tracer()
-    tracer.record(Category.L0_HANDLER, 1000)
-    tracer.record(Category.L0_LAZY_SWITCH, 500)
-    rows = {label: us for label, us, _ in table1_rows(tracer)}
+    totals = {Category.L0_HANDLER: 1000, Category.L0_LAZY_SWITCH: 500}
+    rows = {label: us for label, us, _ in table1_rows(totals)}
     assert rows["3 L0 handler"] == pytest.approx(1.5)
+
+
+def test_table1_rows_divide_each_category_before_folding():
+    """Per-op shares are ``a / n + b / n``, not ``(a + b) / n``: the
+    committed Table 1 bytes depend on that order."""
+    totals = {Category.L1_HANDLER: 1, Category.L1_LAZY_SWITCH: 4}
+    ((_, us, _),) = [row for row in table1_rows(totals, 3)
+                     if row[0] == "5 L1 handler"]
+    assert 1 / 3 + 4 / 3 != 5 / 3       # the two orders differ here
+    assert us == (1 / 3 + 4 / 3) / 1000.0
+
+
+def test_table1_rows_of_empty_totals_are_zero():
+    rows = table1_rows({})
+    assert [(us, pct) for _, us, pct in rows] == [(0.0, 0.0)] * 6
 
 
 def test_exit_reason_profile_sorted_and_normalised():

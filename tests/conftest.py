@@ -8,7 +8,6 @@ import pytest
 
 from repro.cpu.costs import CostModel
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -126,11 +125,6 @@ def golden(request):
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-@pytest.fixture
-def tracer():
-    return Tracer(keep_events=True)
 
 
 @pytest.fixture

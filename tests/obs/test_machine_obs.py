@@ -8,6 +8,7 @@ per-operation breakdown lands within 1% of the paper's numbers.
 
 import pytest
 
+from repro.analysis.breakdown import table1_rows
 from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
 from repro.cpu import isa
@@ -57,6 +58,19 @@ def test_trace_reproduces_table1_within_one_percent(baseline):
     for got, paper in zip(measured, PAPER_PARTS_US):
         assert got == pytest.approx(paper, rel=0.01)
     assert sum(measured) == pytest.approx(PAPER_TOTAL_US, rel=0.01)
+
+
+@pytest.mark.parametrize("mode", [ExecutionMode.BASELINE,
+                                  ExecutionMode.SW_SVT,
+                                  ExecutionMode.HW_SVT])
+def test_trace_breakdown_equals_tracer_breakdown_exactly(mode):
+    """Table 1 from the trace alone is the tracer's Table 1, bit for
+    bit: both read one fold over the same per-category nanoseconds."""
+    observer = Observer()
+    machine = _run_cpuid(mode, observer)
+    operations = ITERATIONS + 1
+    assert trace_breakdown(observer, operations=operations) \
+        == table1_rows(machine.tracer.totals, operations)
 
 
 def test_trace_spans_cover_all_three_levels(baseline):

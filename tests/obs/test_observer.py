@@ -1,6 +1,5 @@
 """Observer facade: charge spans, disabled planes, ambient capture."""
 
-from repro.obs.export import TABLE1_FOLD
 from repro.obs.observer import (
     CATEGORY_LEVEL,
     Observer,
@@ -9,7 +8,7 @@ from repro.obs.observer import (
 )
 from repro.obs.spans import CAT_CHARGE
 from repro.sim.engine import Simulator
-from repro.sim.trace import Category
+from repro.sim.trace import TABLE1_ROWS, Category
 
 
 def test_unbound_observer_clock_reads_zero():
@@ -36,15 +35,15 @@ def test_charge_emits_the_charged_window():
     assert span.level == CATEGORY_LEVEL[Category.GUEST_WORK] == 2
 
 
-def test_charge_meta_becomes_span_args():
+def test_charge_spans_carry_no_args():
     observer = Observer(Simulator())
-    observer.charge(Category.CHANNEL, 0, {"direction": "tx"})
+    observer.charge(Category.CHANNEL, 0)
     (span,) = observer.spans.finished()
-    assert span.args == {"direction": "tx"}
+    assert span.args is None
 
 
 def test_every_table1_category_has_a_level():
-    for _, categories in TABLE1_FOLD:
+    for _, categories in TABLE1_ROWS:
         for category in categories:
             assert category in CATEGORY_LEVEL
 

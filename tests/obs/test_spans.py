@@ -108,20 +108,3 @@ def test_finished_order_is_stable_for_ties(recorder):
     names = [span.name for span in recorder.finished()]
     assert names == ["c", "a", "b"]
 
-
-def test_totals_by_name_sums_durations(recorder, clock):
-    recorder.emit("guest_work", 0, 30)
-    recorder.emit("guest_work", 40, 50)
-    recorder.emit("l0_handler", 30, 40)
-    totals = recorder.totals_by_name()
-    assert totals == {"guest_work": 40, "l0_handler": 10}
-
-
-def test_totals_by_name_filters_by_category(recorder, clock):
-    recorder.emit("x", 0, 10, cat=CAT_CHARGE)
-    span = recorder.begin("x")
-    clock.advance(3)
-    recorder.end(span)
-    assert recorder.totals_by_name(CAT_CHARGE) == {"x": 10}
-    assert recorder.totals_by_name(CAT_STRUCT) == {"x": 3}
-    assert recorder.totals_by_name() == {"x": 13}

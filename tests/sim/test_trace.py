@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.trace import Category, Tracer
+from repro.sim.trace import TABLE1_ROWS, Category, Tracer
 
 
 def test_totals_accumulate():
@@ -27,49 +27,6 @@ def test_total_selected_categories():
     assert tracer.total() == 100
 
 
-def test_share():
-    tracer = Tracer()
-    tracer.record(Category.GUEST_WORK, 25)
-    tracer.record(Category.IDLE, 75)
-    assert tracer.share(Category.GUEST_WORK) == 0.25
-
-
-def test_share_of_empty_tracer_is_zero():
-    assert Tracer().share(Category.IDLE) == 0.0
-
-
-def test_event_log_kept_when_requested():
-    tracer = Tracer(keep_events=True)
-    tracer.record(Category.CHANNEL, 5, direction="tx")
-    assert tracer.events == [(Category.CHANNEL, 5, {"direction": "tx"})]
-
-
-def test_event_log_skipped_by_default():
-    tracer = Tracer()
-    tracer.record(Category.CHANNEL, 5)
-    assert tracer.events == []
-
-
-def test_merged_with_sums_both():
-    a, b = Tracer(), Tracer()
-    a.record(Category.IDLE, 10)
-    b.record(Category.IDLE, 5)
-    b.record(Category.CHANNEL, 7)
-    merged = a.merged_with(b)
-    assert merged.totals[Category.IDLE] == 15
-    assert merged.totals[Category.CHANNEL] == 7
-    # Sources unchanged.
-    assert a.totals[Category.IDLE] == 10
-
-
-def test_reset_clears_everything():
-    tracer = Tracer(keep_events=True)
-    tracer.record(Category.IDLE, 10)
-    tracer.reset()
-    assert tracer.total() == 0
-    assert tracer.events == []
-
-
 def test_snapshot_is_independent_copy():
     tracer = Tracer()
     tracer.record(Category.IDLE, 10)
@@ -78,133 +35,36 @@ def test_snapshot_is_independent_copy():
     assert snap[Category.IDLE] == 10
 
 
-class FakeClock:
-    """Manually-advanced integer clock standing in for a Simulator."""
-
-    def __init__(self):
-        self.now = 0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, ns):
-        self.now += ns
-
-
-def test_span_charges_elapsed_time():
-    clock = FakeClock()
-    tracer = Tracer(clock=clock)
-    with tracer.span(Category.L0_HANDLER):
-        clock.advance(100)
-    assert tracer.totals[Category.L0_HANDLER] == 100
-
-
-def test_span_requires_a_clock():
-    with pytest.raises(ValueError):
-        with Tracer().span(Category.L0_HANDLER):
-            pass
-
-
-def test_nested_span_parent_charged_self_time_only():
-    clock = FakeClock()
-    tracer = Tracer(clock=clock)
-    with tracer.span(Category.L0_HANDLER):
-        clock.advance(30)
-        with tracer.span(Category.L1_HANDLER):
-            clock.advance(50)
-        clock.advance(20)
-    assert tracer.totals[Category.L1_HANDLER] == 50
-    assert tracer.totals[Category.L0_HANDLER] == 50   # 30 + 20, not 100
-    assert tracer.total() == clock.now
-
-
-def test_recursive_same_category_span_does_not_double_count():
-    """The drift regression: an L1 handler span nested inside an L0 span
-    that re-enters L0 (aux trap) must not have the inner L0 window
-    subtracted from *both* ancestors.  Every simulated nanosecond lands
-    in exactly one category, so the totals sum to the wall elapsed."""
-    clock = FakeClock()
-    tracer = Tracer(clock=clock)
-    with tracer.span(Category.L0_HANDLER):        # outer L0
-        clock.advance(10)
-        with tracer.span(Category.L1_HANDLER):    # L1-in-L0
-            clock.advance(20)
-            with tracer.span(Category.L0_HANDLER):  # aux trap: L0 again
-                clock.advance(40)
-            clock.advance(5)
-        clock.advance(15)
-    assert tracer.totals[Category.L1_HANDLER] == 25       # 20 + 5
-    assert tracer.totals[Category.L0_HANDLER] == 65       # 40 + 10 + 15
-    # The invariant the historical bug broke: totals cover the wall.
-    assert tracer.total() == clock.now == 90
-
-
-def test_deeply_recursive_spans_partition_exactly():
-    clock = FakeClock()
-    tracer = Tracer(clock=clock)
-
-    def recurse(depth):
-        with tracer.span(Category.L0_HANDLER, depth=depth):
-            clock.advance(7)
-            if depth:
-                recurse(depth - 1)
-                clock.advance(3)
-
-    recurse(6)
-    assert tracer.total() == clock.now
-    assert tracer.totals[Category.L0_HANDLER] == clock.now
-
-
-def test_span_records_zero_self_time_for_instant_frames():
-    clock = FakeClock()
-    tracer = Tracer(clock=clock)
-    with tracer.span(Category.L0_HANDLER):
-        with tracer.span(Category.L1_HANDLER):
-            clock.advance(12)
-    assert tracer.totals[Category.L0_HANDLER] == 0
-    assert tracer.counts[Category.L0_HANDLER] == 1
-
-
-def test_reset_clears_open_span_stack():
-    clock = FakeClock()
-    tracer = Tracer(clock=clock)
-    frame = tracer.span(Category.L0_HANDLER)
-    frame.__enter__()
-    clock.advance(9)
-    tracer.reset()
-    assert tracer._span_stack == []
-    # Closing the abandoned frame is a clean no-op: the window was
-    # discarded with the reset, not charged to the fresh totals.
-    frame.__exit__(None, None, None)
-    assert tracer.total() == 0
-    # A fresh span works normally after the reset.
-    with tracer.span(Category.L1_HANDLER):
-        clock.advance(4)
-    assert tracer.totals[Category.L1_HANDLER] == 4
-
-
 def test_record_forwards_charges_to_an_observer():
     class Sink:
         def __init__(self):
             self.charges = []
 
-        def charge(self, category, ns, meta=None):
-            self.charges.append((category, ns, meta))
+        def charge(self, category, ns):
+            self.charges.append((category, ns))
 
     tracer = Tracer()
     tracer.observer = Sink()
-    tracer.record(Category.CHANNEL, 30, direction="tx")
-    assert tracer.observer.charges == [
-        (Category.CHANNEL, 30, {"direction": "tx"})
+    tracer.record(Category.CHANNEL, 30)
+    assert tracer.observer.charges == [(Category.CHANNEL, 30)]
+
+
+def test_table1_rows_cover_the_paper_rows():
+    """Six rows in the paper's order; lazy save/restore folds into the
+    handler rows and no category lands in two rows."""
+    assert [label for label, _ in TABLE1_ROWS] == [
+        "0 L2",
+        "1 Switch L2<->L0",
+        "2 Transform vmcs02/vmcs12",
+        "3 L0 handler",
+        "4 Switch L0<->L1",
+        "5 L1 handler",
     ]
-
-
-def test_table1_parts_cover_the_paper_rows():
-    assert Category.TABLE1_PARTS == (
-        Category.GUEST_WORK,
-        Category.SWITCH_L2_L0,
-        Category.VMCS_TRANSFORM,
-        Category.L0_HANDLER,
-        Category.SWITCH_L0_L1,
-        Category.L1_HANDLER,
-    )
+    assert [categories for _, categories in TABLE1_ROWS] == [
+        (Category.GUEST_WORK,),
+        (Category.SWITCH_L2_L0,),
+        (Category.VMCS_TRANSFORM,),
+        (Category.L0_HANDLER, Category.L0_LAZY_SWITCH),
+        (Category.SWITCH_L0_L1,),
+        (Category.L1_HANDLER, Category.L1_LAZY_SWITCH),
+    ]

@@ -1,9 +1,11 @@
 """Documentation <-> code consistency.
 
 DESIGN.md's module map and per-experiment index must reference files
-that actually exist; nothing rots silently.
+that actually exist, and every backticked ``repro.…`` name in the prose
+docs must import; nothing rots silently.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -67,3 +69,51 @@ def test_paper_anchor_numbers_present_in_design():
 def test_design_declares_paper_match():
     assert "matches" in DESIGN.splitlines()[7].lower() or \
         "matches" in DESIGN[:800].lower()
+
+
+#: Prose docs whose backticked ``repro.…`` names must resolve.
+DOCS = (
+    [REPO_ROOT / name for name in ("README.md", "DESIGN.md",
+                                   "EXPERIMENTS.md")]
+    + sorted((REPO_ROOT / "docs").glob("*.md"))
+)
+
+#: A backticked span starting with a dotted ``repro`` name; the name
+#: stops at the first character that cannot continue it, so
+#: `repro.obs.write_chrome_trace(path, observer)` yields the function
+#: and `repro.io.*` the package.
+DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+
+
+def _resolve(name):
+    """Import the longest module prefix of ``name``, then walk the rest
+    as attributes; raises if any step is missing."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module_name)
+        except ModuleNotFoundError as err:
+            if err.name != module_name:
+                raise
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(name)
+
+
+def test_doc_dotted_names_resolve():
+    names = set()
+    for path in DOCS:
+        names.update(DOTTED_NAME.findall(path.read_text()))
+    # Guards the extraction itself: a regex that silently matched
+    # nothing would pass vacuously.
+    assert len(names) >= 50
+    broken = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError) as err:
+            broken.append(f"{name}: {err}")
+    assert broken == [], "docs cite names that do not resolve"
