@@ -4,14 +4,13 @@ import pytest
 
 from repro.analysis.report import render_result
 from repro.exp import registry
-from repro.exp.registry import RunContext
+from repro.exp.runner import run_experiments
 
 
 def test_fig6_cpuid_bars(benchmark, report):
-    experiment = registry.get("fig6")
-    ctx = RunContext.create(
-        experiment.resolve({"iterations": 20}, strict=True))
-    result = benchmark(experiment.run, ctx)
+    params = registry.get("fig6").resolve({"iterations": 20}, strict=True)
+    run = benchmark(run_experiments, ["fig6"], overrides=params)
+    result = run.results["fig6"]
 
     report("Figure 6", render_result(result))
 

@@ -12,7 +12,7 @@ from repro.analysis.report import format_table
 from repro.core.mode import ExecutionMode
 from repro.exp import registry
 from repro.exp.experiments.figures import FIG7_METRICS
-from repro.exp.registry import RunContext
+from repro.exp.runner import run_experiments
 
 EXPERIMENT = registry.get("fig7")
 PARAMS = EXPERIMENT.resolve()
@@ -20,7 +20,7 @@ PARAMS = EXPERIMENT.resolve()
 
 @pytest.fixture(scope="module")
 def fig7():
-    return EXPERIMENT.run(RunContext.create(PARAMS))
+    return run_experiments(["fig7"], overrides=PARAMS).results["fig7"]
 
 
 def _metric_cells(metric):

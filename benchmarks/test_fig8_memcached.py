@@ -4,14 +4,13 @@ import pytest
 
 from repro.analysis.report import render_result
 from repro.exp import registry
-from repro.exp.registry import RunContext
+from repro.exp.runner import run_experiments
 
 
 def test_fig8_memcached_curves(benchmark, report):
-    experiment = registry.get("fig8")
-    ctx = RunContext.create(
-        experiment.resolve({"requests": 20_000}, strict=True))
-    result = benchmark(experiment.run, ctx)
+    params = registry.get("fig8").resolve({"requests": 20_000}, strict=True)
+    run = benchmark(run_experiments, ["fig8"], overrides=params)
+    result = run.results["fig8"]
 
     report("Figure 8", render_result(result))
 

@@ -428,7 +428,7 @@ def main(argv=None):
         return _cmd_bench(argv[1:])
     if argv[:1] == ["fuzz"]:
         # Same pattern: the differential fuzz campaign has its own
-        # flag namespace (--seed/--runs/--shrink/--corpus/...).
+        # flag namespace (--seed/--runs/--no-shrink/--corpus/...).
         from repro.fuzz.cli import main as fuzz_main
 
         return fuzz_main(argv[1:])

@@ -16,8 +16,7 @@ One subsystem orchestrates every paper artifact:
 
 from repro.exp.cache import ResultCache, code_fingerprint, \
     cost_model_fingerprint
-from repro.exp.registry import Experiment, RunContext, get, names, \
-    register
+from repro.exp.registry import Experiment, get, names, register
 from repro.exp.result import Result, Row, Series, Table
 from repro.exp.runner import RunReport, run_experiments, runtime_smoke
 
@@ -26,7 +25,6 @@ __all__ = [
     "Result",
     "ResultCache",
     "Row",
-    "RunContext",
     "RunReport",
     "Series",
     "Table",

@@ -23,12 +23,10 @@ here feeds a :class:`~repro.exp.result.Result`.
 from __future__ import annotations
 
 import sys
-import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.cpu import costmodels
-from repro.exp import registry
+from repro.exp import registry, runner
 from repro.sim import kernel as simkernel
 
 #: Schema tag of the BENCH_sim.json document.  ``repro-bench/3`` has
@@ -62,24 +60,13 @@ def default_bench_path() -> Path:
     return Path(repro.__file__).resolve().parents[2] / "BENCH_sim.json"
 
 
-def _resolve_params(experiment: registry.Experiment, smoke: bool,
-                    overrides: Optional[Mapping[str, Any]],
-                    ) -> dict[str, Any]:
-    params = experiment.all_defaults()
-    if smoke:
-        params.update(experiment.smoke)
-    for key, value in (overrides or {}).items():
-        if key in params and value is not None:
-            params[key] = value
-    return params
-
-
-def _time_cells(experiment: registry.Experiment,
-                params: Mapping[str, Any], repeats: int,
+def _time_cells(name: str, params: dict[str, Any], repeats: int,
                 ) -> dict[str, Any]:
     """Min-of-N wall clock for one experiment.
 
-    Each cell is timed individually (min over the repeats per cell);
+    Each cell runs through the runner's cell entry
+    (``repro.exp.runner._execute_cell``), the path every experiment
+    run takes, and is timed by it (min over the repeats per cell);
     ``wall_s`` is the min over repeats of the summed cell walls.  The
     throughput counters come from the last repeat and are
     deterministic (identical every repeat), unlike the wall clock.
@@ -92,28 +79,23 @@ def _time_cells(experiment: registry.Experiment,
     """
     from repro.workloads import memcached, memcached_native
 
-    cells = experiment.cells(dict(params))
+    cells = registry.get(name).cells(params)
     wall = float("inf")
     cell_walls = {cell: float("inf") for cell in cells}
     events = 0
     instructions = 0
     memcached.reset_service_memo()
     memcached_native.reset_served()
-    with costmodels.use_default(params.get("cost_model")):
-        for _ in range(max(1, repeats)):
-            total = 0.0
-            with simkernel.collect_stats() as stats:
-                for cell in cells:
-                    # Wall-clock is the measurement here, not a hidden
-                    # nondeterminism: it never reaches a Result.
-                    started = time.perf_counter()  # svtlint: disable=SVT001
-                    experiment.run_cell(cell, dict(params))
-                    took = time.perf_counter() - started  # svtlint: disable=SVT001
-                    total += took
-                    cell_walls[cell] = min(cell_walls[cell], took)
-            wall = min(wall, total)
-            events = stats.events_fired
-            instructions = stats.instructions
+    for _ in range(max(1, repeats)):
+        total = 0.0
+        with simkernel.collect_stats() as stats:
+            for cell in cells:
+                took = runner._execute_cell(name, cell, params)[3]
+                total += took
+                cell_walls[cell] = min(cell_walls[cell], took)
+        wall = min(wall, total)
+        events = stats.events_fired
+        instructions = stats.instructions
     entry: dict[str, Any] = {
         "cells": len(cells),
         "wall_s": round(wall, 4),
@@ -137,9 +119,8 @@ def bench_section(names: Iterable[str], smoke: bool, repeats: int = 3,
     """One parameter section (smoke or full) of the bench document."""
     experiments: dict[str, Any] = {}
     for name in sorted(dict.fromkeys(names)):
-        experiment = registry.get(name)
-        params = _resolve_params(experiment, smoke, overrides)
-        experiments[name] = _time_cells(experiment, params, repeats)
+        params = registry.get(name).resolve(overrides, smoke=smoke)
+        experiments[name] = _time_cells(name, params, repeats)
     total = sum(entry["wall_s"] for entry in experiments.values())
     return {"experiments": experiments,
             "totals": {"wall_s": round(total, 4)}}

@@ -13,8 +13,9 @@ arithmetic — a few hundred design points cost milliseconds, not
 simulations.  Replay-vs-direct parity is pinned exactly by
 ``tests/analysis/test_replay.py``.
 
-Like ``repro bench`` and ``repro chaos``, this is a standalone driver,
-**not** a registered experiment: its output is a design-space artifact
+Like ``repro bench``, this is a standalone driver, **not** a registered
+experiment (unlike ``repro chaos``, which runs the registered ``chaos``
+experiment): its output is a design-space artifact
 (``results/dse_frontier.json``, schema ``repro-dse/1``), not a paper
 claim, so it stays out of ``repro all`` and the experiment registry.
 

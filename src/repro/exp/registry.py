@@ -20,11 +20,16 @@ An experiment declares:
 * ``merge(params, payloads)`` — assemble the cells (always presented in
   ``cells()`` order, regardless of completion order) into a
   :class:`~repro.exp.result.Result`.
+
+An experiment runs one way, through :mod:`repro.exp.runner`:
+:meth:`Experiment.resolve` gives its parameters and the runner's
+``_execute_cell`` runs each cell, whether the caller is
+:func:`repro.exp.runner.run_experiments` (the CLI and the serve
+workers) or ``repro bench``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Optional, TypeVar
 
 from repro.cpu import costmodels
@@ -37,7 +42,8 @@ _REGISTRY: dict[str, "Experiment"] = {}
 _LOADED = False
 
 #: Parameters *every* experiment accepts without declaring them.  The
-#: runner, the serial reference path and the bench harness install
+#: runner's cell entry (``repro.exp.runner._execute_cell``, which the
+#: CLI, ``repro bench`` and the serve workers all reach) installs
 #: ``cost_model`` as the ambient default
 #: (:func:`repro.cpu.costmodels.use_default`) around each cell, so any
 #: machine a cell builds without an explicit ``costs=`` prices under
@@ -45,29 +51,6 @@ _LOADED = False
 UNIVERSAL_DEFAULTS: dict[str, Any] = {
     "cost_model": costmodels.DEFAULT_MODEL,
 }
-
-
-@dataclass(frozen=True)
-class RunContext:
-    """What an experiment run sees: its resolved parameters."""
-
-    params: tuple[tuple[str, Any], ...] = ()
-
-    @classmethod
-    def create(cls, params: Optional[Mapping[str, Any]] = None) \
-            -> RunContext:
-        params = params or {}
-        return cls(params=tuple(sorted(params.items())))
-
-    @property
-    def params_dict(self) -> dict[str, Any]:
-        return dict(self.params)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return dict(self.params).get(key, default)
-
-    def __getitem__(self, key: str) -> Any:
-        return dict(self.params)[key]
 
 
 class Experiment:
@@ -86,14 +69,20 @@ class Experiment:
         return {**UNIVERSAL_DEFAULTS, **self.defaults}
 
     def resolve(self, overrides: Optional[Mapping[str, Any]] = None,
-                strict: bool = False) -> dict[str, Any]:
+                strict: bool = False, smoke: bool = False) \
+            -> dict[str, Any]:
         """Defaults (universal and declared) merged with ``overrides``.
 
-        Unknown override keys are ignored unless ``strict`` (the CLI
-        passes one shared namespace to every experiment; tests pass
-        ``strict=True`` to catch typos).
+        With ``smoke`` the experiment's ``smoke`` values are laid over
+        the defaults first, so an override still beats them.  A
+        ``None`` override means "not overridden" (the CLI's unset
+        flags).  Unknown override keys are ignored unless ``strict``
+        (the CLI passes one shared namespace to every experiment; the
+        serve protocol and tests pass ``strict=True`` to catch typos).
         """
         params = self.all_defaults()
+        if smoke:
+            params.update(self.smoke)
         for key, value in (overrides or {}).items():
             if key in params:
                 if value is not None:
@@ -116,16 +105,6 @@ class Experiment:
     def merge(self, params: dict[str, Any],
               payloads: dict[str, Any]) -> Result:
         raise NotImplementedError
-
-    def run(self, ctx: RunContext) -> Result:
-        """Serial reference path: run every cell in order, then merge."""
-        params = ctx.params_dict
-        with costmodels.use_default(params.get("cost_model")):
-            payloads = {
-                cell: self.run_cell(cell, params)
-                for cell in self.cells(params)
-            }
-            return self.merge(params, payloads)
 
 
 _ExperimentClass = TypeVar("_ExperimentClass", bound="type[Experiment]")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
@@ -132,8 +133,10 @@ def _execute_cell(name: str, cell: str, params: dict[str, Any],
                   collect_metrics: bool = False) \
         -> tuple[str, str, Any, float, Optional[dict[str, Any]],
                  list[str]]:
-    """Worker entry point: one cell in a fresh simulator.
+    """Run one cell in a fresh simulator — the only way a cell runs.
 
+    Pool workers, the serial loop and ``repro bench``'s timing loop
+    all call it; the returned ``took`` is the cell's wall clock.
     Module-level so it pickles; re-resolves the experiment through the
     registry so it also works under the ``spawn`` start method.  With
     ``collect_metrics`` the cell runs under an ambient metrics capture
@@ -196,12 +199,7 @@ def run_experiments(names: Iterable[str],
     finished: dict[str, ExperimentRun] = {}
     for name in names:
         experiment = registry.get(name)
-        params = experiment.all_defaults()
-        if smoke:
-            params.update(experiment.smoke)
-        for key, value in (overrides or {}).items():
-            if key in params and value is not None:
-                params[key] = value
+        params = experiment.resolve(overrides, smoke=smoke)
         if cache is not None:
             report.cache_keys[name] = cache.key(name, params)
             hit = cache.load(name, params)
@@ -219,28 +217,16 @@ def run_experiments(names: Iterable[str],
     payloads: dict[tuple[str, str], Any] = {}
     seconds: dict[str, float] = {}
     snapshots: dict[str, list[dict[str, Any]]] = {}
-    if report.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=report.jobs) as pool:
-            outcomes = pool.map(
-                _execute_cell,
-                [c[0] for c in cells],
-                [c[1] for c in cells],
-                [c[2] for c in cells],
-                [collect_metrics] * len(cells),
-            )
-            for name, cell, payload, took, snapshot, violations \
-                    in outcomes:
-                payloads[(name, cell)] = payload
-                seconds[name] = seconds.get(name, 0.0) + took
-                if snapshot is not None:
-                    snapshots.setdefault(name, []).append(snapshot)
-                report.sanitizer_reports.extend(
-                    f"{name}/{cell}: {line}" for line in violations)
-    else:
-        for name, cell, params in cells:
-            _, _, payload, took, snapshot, violations = _execute_cell(
-                name, cell, params, collect_metrics
-            )
+    with ExitStack() as stack:
+        if report.jobs > 1 and len(cells) > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=report.jobs))
+            outcomes = pool.map(_execute_cell, *zip(*cells),
+                                [collect_metrics] * len(cells))
+        else:
+            outcomes = (_execute_cell(name, cell, params, collect_metrics)
+                        for name, cell, params in cells)
+        for name, cell, payload, took, snapshot, violations in outcomes:
             payloads[(name, cell)] = payload
             seconds[name] = seconds.get(name, 0.0) + took
             if snapshot is not None:
@@ -296,7 +282,7 @@ def runtime_smoke(names: Optional[Iterable[str]] = None, jobs: int = 4,
     per_experiment: dict[str, Any] = {}
     for run in serial.runs:
         experiment = registry.get(run.name)
-        smoke_params = {**experiment.all_defaults(), **experiment.smoke}
+        smoke_params = experiment.resolve(overrides, smoke=True)
         per_experiment[run.name] = {
             "serial_s": round(run.seconds, 4),
             "parallel_cell_s": round(parallel_seconds[run.name], 4),

@@ -47,13 +47,11 @@ def build_parser():
                         default=shrink.DEFAULT_BUDGET,
                         help="max differential evaluations per shrink "
                              f"(default: {shrink.DEFAULT_BUDGET})")
-    parser.add_argument("--shrink", dest="shrink", action="store_true",
-                        default=True,
-                        help="delta-debug failures to minimal cases "
-                             "(default)")
     parser.add_argument("--no-shrink", dest="shrink",
                         action="store_false",
-                        help="report failures without shrinking")
+                        help="report failures without shrinking "
+                             "(default: delta-debug them to minimal "
+                             "cases)")
     parser.add_argument("--cost-model", default=None,
                         help="registered cost model to run under")
     parser.add_argument("--jobs", type=int, default=1,
@@ -65,10 +63,6 @@ def build_parser():
                         help="invert the gate: fail unless at least "
                              "one violation is found and shrinks "
                              "reproducibly (used with --bug)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 on any oracle violation (default "
-                             "already does; kept for symmetry with "
-                             "other subcommands)")
     parser.add_argument("--json", action="store_true",
                         help="write the campaign document to stdout")
     parser.add_argument("--out", type=Path, default=None,

@@ -2,7 +2,7 @@
 
 The front door the ROADMAP's "millions of users" north star needs:
 an asyncio HTTP/JSON API (stdlib only — no new runtime dependencies)
-that executes experiment/DSE/bench requests on a supervised process
+that executes experiment and DSE requests on a supervised process
 worker pool, with the robustness machinery threaded through every
 layer:
 
@@ -19,14 +19,16 @@ layer:
   (:class:`repro.faults.BackoffPolicy`), capped retries, and
   poisoned-request quarantine (:mod:`repro.serve.pool`);
 * **graceful degradation** — under overload or repeated worker loss
-  the service sheds load by tier (bench/DSE first, cached reads last)
+  the service sheds load by tier (DSE first, cached reads last)
   and reports through ``/healthz`` + ``/readyz``
   (:mod:`repro.serve.service`).
 
-Served results are byte-identical to the CLI path for the same
-fingerprint; ``repro loadtest`` (:mod:`repro.serve.loadtest`) drives a
-seeded client schedule against a live instance and gates the committed
-``BENCH_serve.json`` baseline.  See ``docs/serving.md``.
+Served results are byte-identical to the CLI for the same fingerprint,
+because workers run the CLI's own code path
+(:func:`repro.exp.runner.run_experiments`); ``repro loadtest``
+(:mod:`repro.serve.loadtest`) drives a seeded client schedule against a
+live instance and gates the committed ``BENCH_serve.json`` baseline.
+See ``docs/serving.md``.
 """
 
 from repro.serve.admission import AdmissionQueue

@@ -25,9 +25,9 @@ contract:
   back to the injector scoreboard.
 
 Workers compute through exactly the code path the CLI uses
-(``Experiment.run`` / ``dse.build_document`` / ``bench_document``), so
-a served body is byte-identical to the CLI artifact for the same
-fingerprint.
+(:func:`repro.exp.runner.run_experiments` /
+:func:`repro.exp.dse.build_document`), so a served body is
+byte-identical to the CLI artifact for the same fingerprint.
 """
 
 from __future__ import annotations
@@ -89,18 +89,18 @@ def compute_body(kind: str, experiment: str,
                  params: Dict[str, Any]) -> str:
     """The canonical body for one request — the CLI path, verbatim.
 
-    Experiment bodies are ``Result.to_json()`` of the serial reference
-    path; dse/bench bodies are the canonical JSON of the documents the
-    ``repro dse`` / ``repro bench`` CLIs emit.
+    Experiment bodies are ``Result.to_json()`` of
+    :func:`repro.exp.runner.run_experiments`, the function behind
+    ``python -m repro <experiment> --json``; dse bodies are the
+    canonical JSON of the document the ``repro dse`` CLI emits.
     """
     from repro.exp.result import canonical_json
 
     if kind == "experiment":
-        from repro.exp import registry
-        from repro.exp.registry import RunContext
+        from repro.exp.runner import run_experiments
 
-        exp = registry.get(experiment)
-        return exp.run(RunContext.create(params)).to_json()
+        report = run_experiments([experiment], overrides=params)
+        return report.results[experiment].to_json()
     if kind == "dse":
         from repro.exp import dse
 
@@ -116,17 +116,6 @@ def compute_body(kind: str, experiment: str,
                                   dse.SMOKE["placements"]),
             iterations=params.get("iterations", 50),
         )
-        return canonical_json(doc)
-    if kind == "bench":
-        from repro.exp import bench
-
-        overrides = {}
-        if params.get("cost_model"):
-            overrides["cost_model"] = params["cost_model"]
-        doc = bench.bench_document(
-            names=params.get("names"), sections=("smoke",),
-            repeats=params.get("repeats", 1), legacy=False,
-            overrides=overrides or None)
         return canonical_json(doc)
     raise ConfigError(f"unknown request kind {kind!r}")
 

@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.exp import registry
-from repro.exp.registry import Experiment, RunContext, register, unregister
+from repro.exp.registry import Experiment, register, unregister
 from repro.exp.result import Result
+from repro.exp.runner import run_experiments
 
 
 class _Toy(Experiment):
@@ -13,6 +14,7 @@ class _Toy(Experiment):
     title = "toy"
     description = "registry test fixture"
     defaults = {"iterations": 3}
+    smoke = {"iterations": 1}
 
     def cells(self, params):
         return ("a", "b")
@@ -90,8 +92,17 @@ def test_resolve_accepts_universal_overrides(toy):
     assert resolved == {"cost_model": "fast-switch", "iterations": 3}
 
 
+def test_resolve_lays_smoke_over_defaults(toy):
+    assert toy.resolve(smoke=True) == {**UNIVERSAL, "iterations": 1}
+    # An override beats the smoke value; a None override keeps it.
+    assert toy.resolve({"iterations": 7}, smoke=True) \
+        == {**UNIVERSAL, "iterations": 7}
+    assert toy.resolve({"iterations": None}, smoke=True) \
+        == {**UNIVERSAL, "iterations": 1}
+
+
 def test_run_composes_cells(toy):
-    result = toy.run(RunContext.create(toy.resolve()))
+    result = run_experiments(["_toy"]).results["_toy"]
     assert result.scalar("total") == 9
     assert result.params_dict == {**UNIVERSAL, "iterations": 3}
 

@@ -14,16 +14,6 @@ def test_jobs_do_not_change_the_document():
     assert parallel.to_json() == serial.to_json()
 
 
-def test_serial_runner_matches_direct_run():
-    experiment = registry.get("fig6")
-    report = run_experiments(["fig6"], overrides={"iterations": 10})
-    from repro.exp.registry import RunContext
-
-    direct = experiment.run(RunContext.create(
-        experiment.resolve({"iterations": 10})))
-    assert report.results["fig6"] == direct
-
-
 def test_cache_round_trip(tmp_path):
     cache = ResultCache(tmp_path)
     cold = run_experiments(["fig6"], overrides={"iterations": 10},

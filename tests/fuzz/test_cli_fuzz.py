@@ -92,6 +92,6 @@ def test_help_mentions_the_knobs(flag, capsys):
         repro_main(["fuzz", flag])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for knob in ("--seed", "--runs", "--budget", "--shrink",
+    for knob in ("--seed", "--runs", "--budget", "--no-shrink",
                  "--cost-model", "--corpus"):
         assert knob in text

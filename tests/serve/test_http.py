@@ -5,6 +5,7 @@ import json
 
 from repro.exp import registry
 from repro.exp.cache import ResultCache
+from repro.exp.runner import run_experiments
 from repro.serve.http import MAX_BODY_BYTES, ServeHttp, render_response
 from repro.serve.loadtest import http_request
 from repro.serve.pool import WorkerPool
@@ -98,6 +99,18 @@ def test_bad_bodies_are_400s(tmp_path):
     over_http(tmp_path, scenario)
 
 
+def test_bench_kind_is_a_400(tmp_path):
+    # Wall-clock bench documents are not servable: one fingerprint
+    # must always name the same bytes.
+    async def scenario(host, port):
+        status, _, body = await http_request(
+            host, port, "POST", "/v1/request", {"kind": "bench"})
+        assert status == 400
+        assert "unknown kind 'bench'" in json.loads(body)["error"]
+
+    over_http(tmp_path, scenario)
+
+
 def test_oversized_bodies_are_413(tmp_path):
     async def scenario(host, port):
         padding = "x" * (MAX_BODY_BYTES + 1)
@@ -121,11 +134,9 @@ def test_raw_garbage_gets_a_400_not_a_hang(tmp_path):
 
 
 def test_post_round_trip_serves_result_bytes(tmp_path):
-    from repro.exp.registry import RunContext
-
     exp = registry.get("table1")
-    params = exp.resolve(exp.smoke)
-    expected = exp.run(RunContext.create(params)).to_json()
+    report = run_experiments(["table1"], smoke=True)
+    expected = report.results["table1"].to_json()
 
     async def scenario(host, port):
         status, headers, body = await http_request(

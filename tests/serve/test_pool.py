@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.exp import registry
-from repro.exp.registry import RunContext
+from repro.exp.runner import run_experiments
 from repro.faults.backoff import BackoffPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
@@ -45,8 +45,8 @@ def test_execute_requires_start():
 
 def test_served_body_is_byte_identical_to_the_serial_path():
     job = smoke_job("table1")
-    exp = registry.get("table1")
-    expected = exp.run(RunContext.create(dict(job.params))).to_json()
+    report = run_experiments(["table1"], overrides=dict(job.params))
+    expected = report.results["table1"].to_json()
     pool = WorkerPool(jobs=1)
     pool.start()
     try:

@@ -15,7 +15,7 @@ def setup_module():
 
 def test_tiers_shed_expensive_first():
     assert TIER_RANK["cached"] < TIER_RANK["experiment"] \
-        < TIER_RANK["dse"] < TIER_RANK["bench"]
+        < TIER_RANK["dse"]
 
 
 def test_parse_resolves_experiment_params_strictly():
@@ -50,6 +50,13 @@ def test_parse_rejects_typos_loudly():
                             "params": [5]})
 
 
+def test_bench_kind_is_rejected():
+    # Bench documents carry wall clock, so they cannot meet the
+    # one-fingerprint-one-body contract; the kind is not served.
+    with pytest.raises(ConfigError, match="unknown kind 'bench'"):
+        ServeRequest.parse({"kind": "bench"})
+
+
 def test_two_spellings_share_one_fingerprint(tmp_path):
     cache = ResultCache(tmp_path)
     exp = registry.get("table1")
@@ -76,8 +83,10 @@ def test_cost_model_changes_the_fingerprint(tmp_path):
 def test_non_experiment_kinds_use_pseudo_names(tmp_path):
     cache = ResultCache(tmp_path)
     dse = ServeRequest.parse({"kind": "dse"})
-    bench = ServeRequest.parse({"kind": "bench"})
-    assert dse.fingerprint(cache) != bench.fingerprint(cache)
+    table1 = ServeRequest.parse(
+        {"kind": "experiment", "experiment": "table1"})
+    assert dse.fingerprint(cache) != table1.fingerprint(cache)
+    assert dse.fingerprint(cache) == cache.key("__dse__", {})
     # List params normalize to tuples so the fingerprint is stable.
     a = ServeRequest.parse(
         {"kind": "dse", "params": {"models": ["xeon-paper"]}})
@@ -97,6 +106,6 @@ def test_retry_after_is_the_tier_base_at_rejection():
 def test_retry_after_scales_with_backlog_pressure():
     assert retry_after_s("experiment", 9, 4) == 3
     assert retry_after_s("dse", 8, 4) == 4
-    assert retry_after_s("bench", 0, 4) == 4
+    assert retry_after_s("dse", 0, 4) == 2
     with pytest.raises(ConfigError):
         retry_after_s("experiment", 1, 0)

@@ -6,7 +6,7 @@ import json
 
 from repro.exp import registry
 from repro.exp.cache import ResultCache
-from repro.exp.registry import RunContext
+from repro.exp.runner import run_experiments
 from repro.faults.backoff import BackoffPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
@@ -33,9 +33,8 @@ def request_for(name, model):
 
 def serial_bytes(name, model):
     """What the CLI path produces for the same request."""
-    exp = registry.get(name)
-    params = exp.resolve({"cost_model": model})
-    return exp.run(RunContext.create(params)).to_json()
+    report = run_experiments([name], overrides={"cost_model": model})
+    return report.results[name].to_json()
 
 
 def with_service(tmp_path, scenario, **pool_kw):
@@ -58,7 +57,7 @@ def header(response, name):
 
 def test_served_bodies_match_the_cli_path_across_models(tmp_path):
     """The acceptance differential: >= 3 experiments x 2 cost models,
-    byte-for-byte against the serial Experiment.run path."""
+    byte-for-byte against run_experiments, the CLI's code path."""
     cases = [(name, model)
              for name in ("table1", "table4", "coexist")
              for model in MODELS]
@@ -202,14 +201,10 @@ def test_overload_sheds_expensive_tiers_first(tmp_path):
         assert service.overloaded
         assert service.shed_level() == LEVEL_DEGRADED
 
-        # Now dse/bench shed deterministically; experiments still try.
+        # Now dse sheds deterministically; experiments still try.
         shed = await service.submit(dse)
         assert shed.status == 503
         assert header(shed, "Retry-After") == "2"
-        bench = await service.submit(
-            ServeRequest.parse({"kind": "bench"}))
-        assert bench.status == 503
-        assert header(bench, "Retry-After") == "4"
         experiment = await service.submit(
             request_for("table1", MODELS[0]))
         assert experiment.status == 429
