@@ -1,8 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke bench bench-smoke dse fuzz fuzz-smoke serve \
-	loadtest loadtest-smoke lint clean
+.PHONY: test smoke bench bench-smoke dse fuzz fuzz-smoke lint clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -49,29 +48,6 @@ fuzz-smoke:
 	$(PYTHON) -m repro fuzz --seed 2019 --runs 5 --ops 12 \
 		--bug drop-redirect --expect-violation > /dev/null
 	$(PYTHON) -m repro fuzz --corpus tests/fuzz/corpus
-
-# The long-lived experiment service (docs/serving.md): HTTP/JSON API
-# with admission control, request coalescing over the result cache,
-# and a supervised worker pool.  Ctrl-C to stop.
-serve:
-	$(PYTHON) -m repro serve --jobs 4
-
-# Deterministic serve-tier load test: boots a throwaway service on an
-# ephemeral port, drives it with a seeded request schedule, asserts
-# the serving invariants in-process, and rewrites the committed
-# BENCH_serve.json baseline.  `loadtest-smoke` is CI's gate — the same
-# seeded campaign compared against the committed baseline (exact on
-# the deterministic counters, noise-floored on wall clock), plus a
-# worker-kill storm that must still complete every request.
-loadtest:
-	$(PYTHON) -m repro loadtest --seed 2019 --requests 60 --jobs 2 \
-		--out BENCH_serve.json
-
-loadtest-smoke:
-	$(PYTHON) -m repro loadtest --seed 2019 --requests 60 --jobs 2 \
-		--baseline BENCH_serve.json --check
-	$(PYTHON) -m repro loadtest --seed 2019 --requests 24 --jobs 2 \
-		--storm
 
 # Three gates, strictest first.  svtlint ships with the repo and always
 # runs; ruff and mypy are optional in the offline evaluation image and

@@ -112,17 +112,7 @@ def _cmd_smoke(args):
     return 0
 
 
-def _cmd_run(argv):
-    """``repro run``: one traced workload on one machine.
-
-    Unlike the experiment path (statistics over many cells), this drives
-    a single :class:`~repro.core.system.Machine` with a live observer
-    and exports the raw telemetry: a Chrome ``trace_event`` file
-    (``--trace``, loadable in Perfetto), a flat metrics dump
-    (``--metrics``), and the Table-1 part breakdown recovered *from the
-    trace itself* — the cross-check that charge spans partition the
-    simulated time exactly as the tracer accounts it.
-    """
+def build_run_parser():
     parser = argparse.ArgumentParser(
         prog="repro run",
         description="Run one workload with observability on and export "
@@ -163,7 +153,21 @@ def _cmd_run(argv):
                         metavar="PATH",
                         help="also dump raw pstats data to PATH "
                              "(inspect with `python -m pstats`)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _cmd_run(argv):
+    """``repro run``: one traced workload on one machine.
+
+    Unlike the experiment path (statistics over many cells), this drives
+    a single :class:`~repro.core.system.Machine` with a live observer
+    and exports the raw telemetry: a Chrome ``trace_event`` file
+    (``--trace``, loadable in Perfetto), a flat metrics dump
+    (``--metrics``), and the Table-1 part breakdown recovered *from the
+    trace itself* — the cross-check that charge spans partition the
+    simulated time exactly as the tracer accounts it.
+    """
+    args = build_run_parser().parse_args(argv)
 
     from repro.core.mode import ExecutionMode
     from repro.core.system import Machine
@@ -438,18 +442,6 @@ def main(argv=None):
         from repro.exp.dse import main as dse_main
 
         return dse_main(argv[1:])
-    if argv[:1] == ["serve"]:
-        # Same pattern: the long-lived experiment service
-        # (repro.serve) has its own flag namespace.
-        from repro.serve.cli import main_serve
-
-        return main_serve(argv[1:])
-    if argv[:1] == ["loadtest"]:
-        # Same pattern: the deterministic serve-tier load test and
-        # BENCH_serve.json regression gate.
-        from repro.serve.cli import main_loadtest
-
-        return main_loadtest(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         return _cmd_list()

@@ -21,15 +21,6 @@ Entries are one JSON file per (experiment, key) holding the serialized
 :class:`~repro.exp.result.Result` plus the key material for debugging.
 Corrupt or stale-schema entries read as misses.
 
-**Negative entries.**  A request that failed with a *deterministic*
-simulation error (a ``ReproError``: bad config, modelled deadlock, …)
-may be remembered via :meth:`ResultCache.store_error` so a long-lived
-service does not recompute a failure per retry.  Error sentinels carry
-a distinct schema (``repro-cache-error/1``) at the same path a Result
-would use, so :meth:`ResultCache.load` — whose schema check rejects
-them — can **never** serve one as a Result; only the explicit
-:meth:`ResultCache.load_error` probe sees them, and a later
-:meth:`ResultCache.store` of a real Result overwrites the sentinel.
 """
 
 from __future__ import annotations
@@ -47,8 +38,6 @@ from repro.exp.result import Result, canonical_json
 from repro.sim.kernel import KERNEL_VERSION
 
 SCHEMA = "repro-cache/1"
-#: Negative entries (deterministic failures) — never a Result.
-ERROR_SCHEMA = "repro-cache-error/1"
 
 
 def default_cache_dir() -> Path:
@@ -159,42 +148,6 @@ class ResultCache:
         }
         path.write_text(canonical_json(doc))
         return path
-
-    # -- negative entries -------------------------------------------------
-
-    def store_error(self, name: str, params: Mapping[str, Any],
-                    error: str) -> Path:
-        """Remember a deterministic failure for this key.
-
-        The sentinel lives at the same path the Result would, under the
-        distinct :data:`ERROR_SCHEMA`, so :meth:`load` reads it as a
-        miss (schema mismatch) and can never serve it as a Result.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(name, params)
-        doc = {
-            "schema": ERROR_SCHEMA,
-            "experiment": name,
-            "key": self.key(name, params),
-            "params": dict(params),
-            "error": error,
-        }
-        path.write_text(canonical_json(doc))
-        return path
-
-    def load_error(self, name: str,
-                   params: Mapping[str, Any]) -> Optional[str]:
-        """The remembered error message for this key, or ``None``."""
-        path = self.path_for(name, params)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if doc.get("schema") != ERROR_SCHEMA or doc.get("key") != self.key(
-                name, params):
-            return None
-        error = doc.get("error")
-        return error if isinstance(error, str) else None
 
     def clear(self, name: Optional[str] = None) -> int:
         """Drop every entry (or just one experiment's)."""

@@ -24,8 +24,8 @@ An experiment declares:
 An experiment runs one way, through :mod:`repro.exp.runner`:
 :meth:`Experiment.resolve` gives its parameters and the runner's
 ``_execute_cell`` runs each cell, whether the caller is
-:func:`repro.exp.runner.run_experiments` (the CLI and the serve
-workers) or ``repro bench``.
+:func:`repro.exp.runner.run_experiments` (the CLI) or
+``repro bench``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _LOADED = False
 
 #: Parameters *every* experiment accepts without declaring them.  The
 #: runner's cell entry (``repro.exp.runner._execute_cell``, which the
-#: CLI, ``repro bench`` and the serve workers all reach) installs
+#: CLI and ``repro bench`` both reach) installs
 #: ``cost_model`` as the ambient default
 #: (:func:`repro.cpu.costmodels.use_default`) around each cell, so any
 #: machine a cell builds without an explicit ``costs=`` prices under
@@ -77,8 +77,8 @@ class Experiment:
         the defaults first, so an override still beats them.  A
         ``None`` override means "not overridden" (the CLI's unset
         flags).  Unknown override keys are ignored unless ``strict``
-        (the CLI passes one shared namespace to every experiment; the
-        serve protocol and tests pass ``strict=True`` to catch typos).
+        (the CLI passes one shared namespace to every experiment;
+        benchmarks and tests pass ``strict=True`` to catch typos).
         """
         params = self.all_defaults()
         if smoke:

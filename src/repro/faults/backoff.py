@@ -1,18 +1,10 @@
-"""Reusable deterministic backoff schedules (:class:`BackoffPolicy`).
+"""Deterministic backoff schedule (:class:`BackoffPolicy`).
 
 PR 4's watchdog carried its bounded-exponential schedule as inline
-constants; this module lifts it into one frozen, reusable policy object
-shared by every retry path in the tree:
-
-* the sim-clock :class:`~repro.faults.watchdog.Watchdog` (SW SVt ring
-  exchanges) delegates its ``backoff_ns`` arithmetic here, byte-for-byte
-  identical to the inline formula it replaces;
-* the ``repro.serve`` worker supervisor reuses the same policy (at
-  millisecond scale) for crash-retry pacing, with **fingerprint-seeded
-  jitter**: the jitter for attempt *k* of request *key* derives from
-  ``crc32(key:k)`` — fully deterministic, independent of scheduling,
-  yet de-synchronized across distinct requests so a retry storm does
-  not re-collide.
+constants; this module lifts it into one frozen policy object.  The
+sim-clock :class:`~repro.faults.watchdog.Watchdog` (SW SVt ring
+exchanges) delegates its ``backoff_ns`` arithmetic here, byte-for-byte
+identical to the inline formula it replaces.
 
 All arithmetic is integral; a policy makes no draws and holds no state.
 Like the rest of ``repro.faults`` the schedule is as deterministic as
@@ -21,21 +13,14 @@ the faults that trigger it (``docs/robustness.md``).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
 class BackoffPolicy:
     """Bounded exponential backoff: ``base * factor**attempt``, capped.
 
-    ``delay_ns(attempt)`` reproduces the PR 4 watchdog schedule exactly
-    (no jitter by default, so existing sim timings stay byte-identical).
-    With ``jitter_tenths > 0`` and a ``key``, a deterministic jitter of
-    up to ``delay * jitter_tenths / 10`` is added on top, derived from
-    ``crc32(key:attempt)`` — the serve supervisor passes the request
-    fingerprint so identical replays back off identically.
+    ``delay_ns(attempt)`` reproduces the PR 4 watchdog schedule exactly.
     """
 
     # paper: §5.2 — the first timeout covers several SMT-placement
@@ -47,12 +32,8 @@ class BackoffPolicy:
     # synthetic: caps an order of magnitude above the first timeout,
     # matching the PR 4 watchdog's inline 32_000 ns ceiling.
     cap_ns: int = 32_000
-    # synthetic: five strikes exhaust a watchdog exchange (PR 4
-    # default); the serve supervisor uses the same budget for retries.
+    # synthetic: five strikes exhaust a watchdog exchange (PR 4 default).
     max_attempts: int = 5
-    # synthetic: jitter defaults off so watchdog schedules (and every
-    # committed sim artifact) stay byte-identical to PR 4.
-    jitter_tenths: int = 0
 
     def __post_init__(self) -> None:
         if self.base_ns <= 0:
@@ -64,35 +45,10 @@ class BackoffPolicy:
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1: {self.max_attempts}")
-        if not 0 <= self.jitter_tenths <= 10:
-            raise ValueError(
-                f"jitter_tenths must be in [0, 10]: {self.jitter_tenths}")
 
-    def delay_ns(self, attempt: int,
-                 key: Optional[str] = None) -> int:
-        """Backoff before retry ``attempt`` (0-based), bounded.
-
-        Without ``key`` (or with jitter off) this is exactly
-        ``min(base_ns * factor**attempt, cap_ns)`` — the watchdog
-        formula.  With both, a deterministic jitter in
-        ``[0, delay * jitter_tenths // 10]`` is added, so the total
-        stays within ``cap_ns * (10 + jitter_tenths) / 10``.
-        """
+    def delay_ns(self, attempt: int) -> int:
+        """Backoff before retry ``attempt`` (0-based):
+        ``min(base_ns * factor**attempt, cap_ns)``."""
         if attempt < 0:
             raise ValueError(f"attempt must be >= 0: {attempt}")
-        delay = min(self.base_ns * self.factor ** attempt, self.cap_ns)
-        if key is not None and self.jitter_tenths:
-            span = delay * self.jitter_tenths // 10
-            if span:
-                digest = zlib.crc32(f"{key}:{attempt}".encode("utf-8"))
-                delay += digest % (span + 1)
-        return delay
-
-    def schedule(self, key: Optional[str] = None) -> tuple:
-        """Every delay of one full exchange, in order."""
-        return tuple(self.delay_ns(attempt, key=key)
-                     for attempt in range(self.max_attempts))
-
-    def exhausted(self, attempts: int) -> bool:
-        """True once ``attempts`` retries have burned the budget."""
-        return attempts >= self.max_attempts
+        return min(self.base_ns * self.factor ** attempt, self.cap_ns)

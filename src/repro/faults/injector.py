@@ -197,25 +197,6 @@ class FaultInjector:
             self._count_injected(FaultKind.SPURIOUS_IRQ)
         return count
 
-    # -- worker kills (serve supervisor) ----------------------------------
-
-    def worker_kill(self, worker_name):
-        """Decide whether to kill worker ``worker_name`` this dispatch.
-
-        One bernoulli draw per consultation on the worker's own stream,
-        so the kill schedule is a pure function of (seed, worker name,
-        consultation index) — independent of request arrival order.
-        The caller (the serve supervisor) counts the kill as recovered
-        via :meth:`note_recovered` once the retried request completes.
-        """
-        rate = self.plan.rate_for(FaultKind.WORKER_KILL)
-        if rate == 0.0:
-            return False
-        if not self.stream(f"worker:{worker_name}").bernoulli(rate):
-            return False
-        self._count_injected(FaultKind.WORKER_KILL)
-        return True
-
     # -- VMCS corruption --------------------------------------------------
 
     #: Scalar fields safe to flip (never dict-valued exit info).

@@ -34,14 +34,11 @@ class FaultKind:
     LOST_WAKEUP = "lost_wakeup"
     SPURIOUS_IRQ = "spurious_irq"
     VMCS_FLIP = "vmcs_flip"
-    #: Serve-tier fault: kill a worker process mid-request (the serve
-    #: supervisor consults the injector once per dispatch).
-    WORKER_KILL = "worker_kill"
 
     #: Ring-level faults, decided per push.
     RING = (RING_DROP, RING_DUPLICATE, RING_DELAY, RING_CORRUPT,
             LOST_WAKEUP)
-    ALL = RING + (SPURIOUS_IRQ, VMCS_FLIP, WORKER_KILL)
+    ALL = RING + (SPURIOUS_IRQ, VMCS_FLIP)
 
 
 @dataclass(frozen=True)

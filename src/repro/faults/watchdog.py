@@ -67,8 +67,7 @@ class Watchdog:
             raise ValueError("max_backoff_ns must be >= timeout_ns")
         if max_strikes < 1:
             raise ValueError(f"max_strikes must be >= 1: {max_strikes}")
-        #: The schedule itself, shared with every other retry path
-        #: (the serve supervisor reuses the same policy object shape).
+        #: The backoff schedule and strike budget.
         self.policy = BackoffPolicy(
             base_ns=timeout_ns, factor=backoff_factor,
             cap_ns=max_backoff_ns, max_attempts=max_strikes,
@@ -109,7 +108,7 @@ class Watchdog:
     @property
     def exhausted(self):
         """True once the exchange has burned every strike."""
-        return self.strikes >= self.max_strikes
+        return self.strikes >= self.policy.max_attempts
 
     def succeed(self):
         """Close the exchange; True when it recovered after retries."""

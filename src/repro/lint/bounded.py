@@ -5,10 +5,7 @@ wait in ``repro.core`` either recovers, degrades, or raises a structured
 :class:`~repro.errors.DeadlockError` — never hangs.  That guarantee is
 only as strong as the loops underneath it: a retry/drain loop with no
 watchdog, cycle budget, or deadline can spin forever the moment a fault
-plan (or a bug) starves its exit condition.  The serve tier
-(``repro.serve``, docs/serving.md) makes the same promise to its
-clients — per-request deadlines and capped crash retries — so it is
-held to the same rule.
+plan (or a bug) starves its exit condition.
 
 The rule flags every ``while`` statement under a ``PACKAGES`` tree whose
 test *and* body mention no budget-ish identifier (``watchdog``,
@@ -32,7 +29,7 @@ import ast
 from repro.lint.engine import LintContext, Rule, package_scoped
 from repro.lint.source import SourceFile, suppression_justified
 
-PACKAGES = ("repro.core", "repro.serve")
+PACKAGES = ("repro.core",)
 
 #: Substrings whose presence in an identifier marks the loop as guarded
 #: by some finite resource (case-insensitive).

@@ -53,18 +53,12 @@ SHARED_MODULES: dict[str, tuple[str, ...]] = {
     "repro.cpu.prf": ("prf", "registers", "rename"),
     "repro.virt.vmcs": ("vmcs",),
     "repro.core.channel": ("ring", "channel", "chan"),
-    # Serve tier: the admission gate is mutated from every connection
-    # handler; all traffic must go through its locked try_push/release.
-    "repro.serve.admission": ("gate", "admission"),
 }
 
 #: Modules whose functions *are* the ordering primitives.
 ORDERING_MODULES: tuple[str, ...] = (
     "repro.sim.engine", "repro.core.switch", "repro.core.channel",
     "repro.cpu.smt",
-    # The supervisor serialises worker dispatch: its methods own the
-    # ready-queue handoff the same way the channel owns ring slots.
-    "repro.serve.pool",
 )
 
 #: Calls that order an access against the sim clock: time charges,
@@ -79,7 +73,6 @@ ORDERING_CALLS: frozenset[str] = frozenset({
     "cross_read", "cross_write",
     "enter_l1", "leave_l1", "exit_l2_to_l0", "resume_l2",
     "_switch_fetch", "_charge", "_hop",
-    "release", "join_or_lead", "resolve_key",
 })
 
 #: Context roots: label -> module prefixes whose functions may run
@@ -89,10 +82,6 @@ CONTEXT_ROOTS: dict[str, tuple[str, ...]] = {
     "hypervisor": ("repro.virt",),
     "device": ("repro.io",),
     "svt-thread": ("repro.core.sw_prototype",),
-    # Serve tier: connection handlers (the event loop) and supervisor
-    # executor threads both reach the admission gate and coalescer.
-    "serve-client": ("repro.serve.http", "repro.serve.service"),
-    "serve-worker": ("repro.serve.pool",),
 }
 
 #: Attribute names whose calls schedule event callbacks.

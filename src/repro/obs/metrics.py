@@ -57,28 +57,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> int:
-        """Bucket-resolution quantile estimate (upper bound).
-
-        Walks the sorted buckets until the cumulative count covers
-        ``q`` of the observations and returns that bucket's inclusive
-        upper bound (``2**bits - 1``), clamped into ``[vmin, vmax]`` so
-        single-bucket histograms report exact extremes.  Deterministic:
-        depends only on recorded counts, never on insertion order.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1]: {q}")
-        if not self.count or self.vmin is None or self.vmax is None:
-            return 0
-        need = q * self.count
-        seen = 0
-        for bits in sorted(self.buckets):
-            seen += self.buckets[bits]
-            if seen >= need:
-                upper = (1 << bits) - 1
-                return max(self.vmin, min(upper, self.vmax))
-        return self.vmax
-
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready dict; bucket keys are the inclusive upper bound
         (``2**bits - 1``) as strings, sorted numerically."""

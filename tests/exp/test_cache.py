@@ -87,40 +87,3 @@ def test_per_model_fingerprints_differ():
     assert cost_model_fingerprint("xeon-paper") \
         == cost_model_fingerprint()
 
-
-# -- negative entries (serve tier poisoned keys) --------------------------
-
-def test_error_sentinel_round_trips(tmp_path):
-    cache = ResultCache(tmp_path)
-    assert cache.load_error("x", PARAMS) is None
-    cache.store_error("x", PARAMS, "cells disagree at (3, 2)")
-    assert cache.load_error("x", PARAMS) == "cells disagree at (3, 2)"
-
-
-def test_error_sentinel_is_never_served_as_a_result(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.store_error("x", PARAMS, "boom")
-    # The sentinel occupies the Result path but load() rejects it by
-    # schema — a poisoned key can never masquerade as a Result.
-    assert cache.load("x", PARAMS) is None
-
-
-def test_result_store_overwrites_the_sentinel(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.store_error("x", PARAMS, "transient bug, since fixed")
-    cache.store("x", PARAMS, _result())
-    assert cache.load("x", PARAMS) == _result()
-    assert cache.load_error("x", PARAMS) is None
-
-
-def test_result_entry_is_not_an_error(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.store("x", PARAMS, _result())
-    assert cache.load_error("x", PARAMS) is None
-
-
-def test_corrupt_error_sentinel_reads_as_miss(tmp_path):
-    cache = ResultCache(tmp_path)
-    path = cache.store_error("x", PARAMS, "boom")
-    path.write_text("{not json")
-    assert cache.load_error("x", PARAMS) is None

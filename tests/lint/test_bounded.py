@@ -82,17 +82,6 @@ def test_bare_suppression_is_itself_a_finding():
     assert "without justification" in findings[0].message
 
 
-def test_rule_covers_the_serve_tier():
-    findings = lint_text(
-        "def respawn(pool):\n"
-        "    while True:\n"
-        "        pool.spawn_worker()\n",
-        "repro.serve.pool",
-        BoundedLoopRule(),
-    )
-    assert hits(findings) == [("SVT005", 2)]
-
-
 def test_rule_is_scoped_to_repro_core():
     findings = lint_text(
         "def drain(ring):\n"

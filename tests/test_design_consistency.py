@@ -5,13 +5,16 @@ that actually exist, and every backticked ``repro.…`` name in the prose
 docs must import; nothing rots silently.
 """
 
+import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro import cli
 
 REPO_ROOT = Path(repro.__file__).resolve().parent.parent.parent
 DESIGN = (REPO_ROOT / "DESIGN.md").read_text()
@@ -117,3 +120,36 @@ def test_doc_dotted_names_resolve():
         except (ImportError, AttributeError) as err:
             broken.append(f"{name}: {err}")
     assert broken == [], "docs cite names that do not resolve"
+
+
+#: ``python -m repro <sub> [<arg>]`` in prose and the Makefile's
+#: ``$(PYTHON) -m repro <sub>``; the subcommand may wrap onto the next
+#: line, and placeholders such as ``<experiment>`` do not match.
+DOC_COMMAND = re.compile(r"(?:python|\$\(PYTHON\)) -m repro\s+"
+                         r"([a-z][\w-]*)(?:[ \t]+([a-z][\w-]*))?")
+
+
+def _choices(parser, dest):
+    return next(action.choices for action in parser._actions
+                if action.dest == dest)
+
+
+def test_doc_commands_parse():
+    # Subcommands main() routes before parsing: ``argv[:1] == ["run"]``.
+    dispatched = {
+        node.comparators[0].elts[0].value
+        for node in ast.walk(ast.parse(inspect.getsource(cli.main)))
+        if isinstance(node, ast.Compare)
+        and isinstance(node.comparators[0], ast.List)
+    }
+    known = dispatched | set(_choices(cli.build_parser(), "experiment"))
+    workloads = set(_choices(cli.build_run_parser(), "workload"))
+    commands = []
+    for path in DOCS + [REPO_ROOT / "Makefile"]:
+        commands.extend((path.name, sub, arg) for sub, arg
+                        in DOC_COMMAND.findall(path.read_text()))
+    # Guards the extraction itself, as in test_doc_dotted_names_resolve.
+    assert len(commands) >= 40
+    broken = [(name, sub, arg) for name, sub, arg in commands
+              if sub not in known or (sub == "run" and arg not in workloads)]
+    assert broken == [], "docs document commands the CLI rejects"
