@@ -45,7 +45,7 @@ class CommandKind:
 
 
 def _frozen(value):
-    """Deep snapshot of a payload that no later mutation of it reaches."""
+    """Deep snapshot of a payload; read-only mappings are kept as is."""
     if isinstance(value, dict):
         return {key: _frozen(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

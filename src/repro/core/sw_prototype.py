@@ -157,9 +157,7 @@ class DeadlockScenario:
 
     def _preempt(self):
         self._svt_preempted = True
-        self._svt_remaining = max(
-            0, self.HANDLING_NS - (self.sim.now - 0)
-        )
+        self._svt_remaining = max(0, self.HANDLING_NS - self.sim.now)
         if self._completion_handle is not None:
             self._completion_handle.cancel()
         self._log("kernel thread preempts SVt-thread in L1_1")

@@ -13,18 +13,23 @@ L1's lazy save/restore with two command hops (8.46 µs, 1.23×); HW SVt
 replaces every crossing with thread stall/resume (5.36 µs, 1.94×).
 """
 
+from types import MappingProxyType
+
 from repro.cpu.registers import RegNames
 from repro.core.cross_context import ctxt_write
 from repro.core.mode import ExecutionMode
 from repro.errors import ChannelError, ConfigError, DeadlockError
 from repro.faults.watchdog import DegradeEvent
 from repro.sim.trace import Category
+from repro.virt import auxplan
 
 
 class SwitchEngine:
     """Interface + shared helpers.  Subclasses override the crossings."""
 
     mode = None
+    aux_plan = auxplan.no_plan          # constant aux-trap legs, or None
+    propagate_aux = auxplan.no_propagation
 
     def __init__(self, sim, tracer, costs, obs=None):
         self.sim = sim
@@ -117,6 +122,7 @@ class BaselineEngine(SwitchEngine):
     """Stock nested virtualization: memory-based context switches."""
 
     mode = ExecutionMode.BASELINE
+    aux_plan = auxplan.switch_plan
 
     def exit_l2_to_l0(self):
         self._charge(self.costs.switch_l2_l0_each, Category.SWITCH_L2_L0)
@@ -164,6 +170,7 @@ class SwSvtEngine(SwitchEngine):
     """
 
     mode = ExecutionMode.SW_SVT
+    aux_plan = auxplan.sw_svt_plan
 
     #: L1 privileged ops whose handling must be propagated from L01 to
     #: L00 to keep the hardware contexts consistent (paper §5.2: "e.g.,
@@ -266,6 +273,12 @@ class SwSvtEngine(SwitchEngine):
             self._charge(self.watchdog.strike(), Category.WATCHDOG)
             resend()
 
+    def _stock_switch(self, vcpu=None, writes=None):
+        """The stock-switch fallback; applies buffered L1 writes first."""
+        for register, value in (writes or {}).items():
+            vcpu.write(register, value)
+        self._charge(self.costs.switch_l0_l1_each, Category.SWITCH_L0_L1)
+
     def _hop(self):
         self._charge(
             self.costs.channel_one_way(self.placement, self.mechanism),
@@ -285,14 +298,13 @@ class SwSvtEngine(SwitchEngine):
     def enter_l1(self, exit_info, vcpu):
         if self.degraded:
             # Fallback: the stock memory context switch (BaselineEngine).
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            self._stock_switch()
             self._pending_writes = None
             return
         payload = {
             "exit_reason": exit_info.reason,
-            "qualification": dict(exit_info.qualification),
-            "regs": {name: vcpu.read(name) for name in RegNames.GPRS},
+            "qualification": MappingProxyType(dict(exit_info.qualification)),
+            "regs": MappingProxyType(vcpu.read_many(RegNames.GPRS)),
             "rip": vcpu.read(RegNames.RIP),
         }
         if self.watchdog is not None:
@@ -301,8 +313,7 @@ class SwSvtEngine(SwitchEngine):
                 "enter_l1", self.channels.request,
                 lambda: self.channels.try_send_trap(payload,
                                                     now=self.sim.now)):
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            self._stock_switch()
             return
         self._hop()
         request = self._await_guarded(
@@ -311,8 +322,7 @@ class SwSvtEngine(SwitchEngine):
             lambda: self.channels.resend_trap(payload, now=self.sim.now),
         )
         if request is None:
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            self._stock_switch()
             return
         self._pending_writes = {}
 
@@ -322,22 +332,16 @@ class SwSvtEngine(SwitchEngine):
         if self.degraded:
             # Post-degradation (or degraded mid-exit): apply L1's
             # buffered updates directly and pay the stock switch.
-            for register, value in writes.items():
-                vcpu.write(register, value)
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            self._stock_switch(vcpu, writes)
             return
-        payload = {"regs": dict(writes)}
+        payload = {"regs": MappingProxyType(writes)}
         if self.watchdog is not None:
             self.watchdog.start()
         if not self._send_guarded(
                 "leave_l1", self.channels.response,
                 lambda: self.channels.try_send_resume(payload,
                                                       now=self.sim.now)):
-            for register, value in writes.items():
-                vcpu.write(register, value)
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            self._stock_switch(vcpu, writes)
             return
         self._hop()
         response = self._await_guarded(
@@ -349,10 +353,7 @@ class SwSvtEngine(SwitchEngine):
         if response is None:
             # The writes never made it through the ring: apply the
             # producer-side copy directly (nothing is lost).
-            for register, value in writes.items():
-                vcpu.write(register, value)
-            self._charge(self.costs.switch_l0_l1_each,
-                         Category.SWITCH_L0_L1)
+            self._stock_switch(vcpu, writes)
             return
         for register, value in response.payload["regs"].items():
             vcpu.write(register, value)
@@ -414,6 +415,7 @@ class HwSvtEngine(SwitchEngine):
     ctxtld/ctxtst register access through the shared PRF."""
 
     mode = ExecutionMode.HW_SVT
+    aux_plan = auxplan.stall_plan
 
     def __init__(self, sim, tracer, costs, core, obs=None):
         super().__init__(sim, tracer, costs, obs=obs)

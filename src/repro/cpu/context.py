@@ -34,6 +34,15 @@ class HardwareContext:
                                "HardwareContext.read")
         return self.registers.read(name)
 
+    def read_many(self, names):
+        """``{name: self.read(name)}`` for every name, in order."""
+        san = _san.ACTIVE
+        if san is not None:
+            for name in names:
+                san.record(f"ctx{self.index}", name, "r",
+                           "HardwareContext.read")
+        return self.registers.read_many(names)
+
     def write(self, name, value):
         if _san.ACTIVE is not None:
             _san.ACTIVE.record(f"ctx{self.index}", name, "w",

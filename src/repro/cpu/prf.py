@@ -14,7 +14,7 @@ here, and the sharing invariants are property-tested.
 """
 
 from repro.errors import PrfExhausted, VirtualizationError
-from repro.cpu.registers import RegNames
+from repro.cpu.registers import RegNames, check_names
 
 
 class PhysicalRegisterFile:
@@ -85,15 +85,25 @@ class RenameMap:
 
     def read(self, name):
         """Latest architectural value (0 for never-written registers)."""
-        if name not in RegNames.ALL:
+        if name not in RegNames.ALL_SET:
             raise VirtualizationError(f"unknown register {name!r}")
         idx = self._map.get(name)
         return self._prf.read(idx) if idx is not None else 0
 
+    def read_many(self, names):
+        """``{name: self.read(name)}`` for every name, in order."""
+        check_names(names)
+        get, read = self._map.get, self._prf.read
+        values = {}
+        for name in names:
+            idx = get(name)
+            values[name] = read(idx) if idx is not None else 0
+        return values
+
     def write(self, name, value):
         """Rename-and-write: allocate a fresh physical register, retire
         the old mapping."""
-        if name not in RegNames.ALL:
+        if name not in RegNames.ALL_SET:
             raise VirtualizationError(f"unknown register {name!r}")
         idx = self._prf.alloc()
         self._prf.write(idx, value)

@@ -38,6 +38,9 @@ class RegNames:
 
     ALL = GPRS + (RIP, RFLAGS) + CONTROL + SEGMENT_BASES + MSRS
 
+    #: ``ALL`` as a set: the O(1) name check on every register access.
+    ALL_SET = frozenset(ALL)
+
     @classmethod
     def switched_set(cls):
         """Registers a VM trap/resume must transfer — the "dozens of
@@ -47,6 +50,15 @@ class RegNames:
     @classmethod
     def is_msr(cls, name):
         return name in cls.MSRS
+
+
+def check_names(names):
+    """Raise the unknown-register error for the first of ``names`` that
+    is not an architectural register (the batched accessors' check)."""
+    if not RegNames.ALL_SET.issuperset(names):
+        unknown = next(name for name in names
+                       if name not in RegNames.ALL_SET)
+        raise VirtualizationError(f"unknown register {unknown!r}")
 
 
 class ArchRegisters:
@@ -65,12 +77,18 @@ class ArchRegisters:
                 self.write(name, value)
 
     def read(self, name):
-        if name not in RegNames.ALL:
+        if name not in RegNames.ALL_SET:
             raise VirtualizationError(f"unknown register {name!r}")
         return self._values.get(name, 0)
 
+    def read_many(self, names):
+        """``{name: self.read(name)}`` for every name, in order."""
+        check_names(names)
+        get = self._values.get
+        return {name: get(name, 0) for name in names}
+
     def write(self, name, value):
-        if name not in RegNames.ALL:
+        if name not in RegNames.ALL_SET:
             raise VirtualizationError(f"unknown register {name!r}")
         if not isinstance(value, int):
             raise VirtualizationError(

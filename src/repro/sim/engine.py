@@ -269,6 +269,26 @@ class Simulator:
         self._next_due = queue[0].time if queue else None
         return target
 
+    def try_charge(self, ns):
+        """Temporal decoupling (TLM-2.0 style): charge ``ns`` in one step
+        only when no event can fall due inside it.
+
+        Returns True after advancing the clock when the cached next
+        deadline lies beyond the target; otherwise returns False and
+        leaves the clock alone, so the caller walks its legs one
+        :meth:`charge` at a time and every due event fires at its own
+        timestamp.  The cache under-estimates, so a refusal may be
+        spurious but an acceptance never skips an event.
+        """
+        if ns < 0:
+            raise SimulationError(f"cannot advance by negative time {ns}")
+        target = self.now + ns
+        due = self._next_due
+        if due is None or due > target:
+            self.now = target
+            return True
+        return False
+
     def run_until_idle(self, limit=None, max_events=None):
         """Fire all pending events in order; stop at ``limit`` ns if given.
 

@@ -68,6 +68,19 @@ class Tracer:
         if self.observer is not None:
             self.observer.charge(category, ns)
 
+    def add(self, category, ns, count):
+        """``count`` records totalling ``ns`` in one step: the batched
+        twin of :meth:`record` for charges made with
+        :meth:`repro.sim.engine.Simulator.try_charge`.  An observer
+        needs one interval per record, so it must not be attached."""
+        if self.observer is not None:
+            raise ValueError("batched trace charge with an observer "
+                             "attached")
+        if ns < 0:
+            raise ValueError(f"negative trace charge {ns} for {category}")
+        self.totals[category] += ns
+        self.counts[category] += count
+
     def total(self, *categories):
         """Sum of the given categories (all categories when none given)."""
         if not categories:

@@ -47,6 +47,9 @@ class EptTable:
         self._ranges = []    # parallel: (gpa_base, size, hpa_base)
         self._mmio = []      # MmioRegion list (also non-overlapping)
         self.generation = 0  # bumped by invalidate(); ablation/test hook
+        # Bumped by every map_range/map_mmio: translate() answers are
+        # stable while it holds (the vmcs02 journal refresh keys on it).
+        self.layout = 0
 
     # -- construction -------------------------------------------------------
 
@@ -58,6 +61,7 @@ class EptTable:
         idx = bisect.bisect_left(self._bases, gpa)
         self._bases.insert(idx, gpa)
         self._ranges.insert(idx, (gpa, size, hpa))
+        self.layout += 1
 
     def map_mmio(self, gpa, size, device):
         """Wire [gpa, gpa+size) to a device via EPT misconfig."""
@@ -66,6 +70,7 @@ class EptTable:
         self._check_overlap(gpa, size)
         region = MmioRegion(gpa, size, device)
         self._mmio.append(region)
+        self.layout += 1
         return region
 
     def _check_overlap(self, gpa, size):

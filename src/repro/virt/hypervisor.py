@@ -123,8 +123,7 @@ class Hypervisor:
             self.obs.count("handler_dispatch_total", hypervisor=self.name,
                            reason=exit_info.reason)
         if self.level >= 1:
-            for field_name in self.AUX_TOUCH.get(exit_info.reason, ()):
-                vmcs.guest_read(field_name)
+            vmcs.guest_read_all(self.AUX_TOUCH.get(exit_info.reason, ()))
         return handler(self, exit_info, vm, vcpu, writer, vmcs)
 
     def _advance_rip(self, exit_info, vcpu, writer, vmcs):

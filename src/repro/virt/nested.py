@@ -17,7 +17,6 @@ lines 8-10), L0 uses raw ``read``/``write``.
 """
 
 from collections import Counter
-from contextlib import nullcontext
 
 from repro.cpu.smt import INVALID_CONTEXT
 from repro.errors import VirtualizationError
@@ -34,9 +33,6 @@ from repro.virt.vmcs import Vmcs
 #: Share of the L0 nested handler charged on the inject side (Alg. 1
 #: lines 3-5); the rest is charged on the resume side (lines 13-14).
 _L0_INJECT_NUMER, _L0_INJECT_DENOM = 11, 20
-
-#: Reusable no-op context manager for the observability-off path.
-_NO_SPAN = nullcontext()
 
 
 def _enter_ctx(label):
@@ -91,7 +87,8 @@ class NestedStack:
         # Descriptor graph (Figure 2).  ept01 translates L1's guest-
         # physical addresses; ept12 is L1's table for L2.
         self.vmcs01 = Vmcs("vmcs01")
-        self.vmcs12 = Vmcs("vmcs12", exit_on_write_callback=self._l1_vmcs_trap)
+        self.vmcs12 = Vmcs("vmcs12", exit_on_write_callback=self._l1_vmcs_trap,
+                           burst_callback=self._l1_vmcs_burst)
         self.vmcs01p = self.vmcs12   # see module docstring
         self.vmcs02 = Vmcs("vmcs02")
         self.ept01 = l1_vm.ept
@@ -186,27 +183,12 @@ class NestedStack:
         started = self.sim.now
 
         obs = self.obs
-        span = (obs.span(f"l2_exit:{exit_info.reason}", level=0,
-                         reason=exit_info.reason)
-                if obs is not None else None)
-        if span is not None:
-            span.__enter__()
-        try:
-            _enter_ctx("L2")                       # hardware, on L2's behalf
-            self.vmcs02.record_exit(exit_info)     # hardware exit-info
-            self.engine.exit_l2_to_l0()            # line 2
-            _enter_ctx("L0")
-
-            if self._l0_owns(exit_info):
-                self._handle_direct(exit_info, vcpu)
-            else:
-                self._reflect_to_l1(exit_info, vcpu)
-
-            self.engine.resume_l2()                # line 15
-            _enter_ctx("L2")
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
+        if obs is None:
+            self._l2_exit(exit_info, vcpu)
+        else:
+            with obs.span(f"l2_exit:{exit_info.reason}", level=0,
+                          reason=exit_info.reason):
+                self._l2_exit(exit_info, vcpu)
         elapsed = self.sim.now - started
         self.exit_ns[exit_info.reason] += elapsed
         self.exit_counts[exit_info.reason] += 1
@@ -216,6 +198,23 @@ class NestedStack:
             obs.observe("exit_ns", elapsed, reason=exit_info.reason,
                         level=2)
         return elapsed
+
+    def _l2_exit(self, exit_info, vcpu):
+        if _san.ACTIVE is not None:
+            _enter_ctx("L2")                       # hardware, on L2's behalf
+        self.vmcs02.record_exit(exit_info)         # hardware exit-info
+        self.engine.exit_l2_to_l0()                # line 2
+        if _san.ACTIVE is not None:
+            _enter_ctx("L0")
+
+        if self._l0_owns(exit_info):
+            self._handle_direct(exit_info, vcpu)
+        else:
+            self._reflect_to_l1(exit_info, vcpu)
+
+        self.engine.resume_l2()                    # line 15
+        if _san.ACTIVE is not None:
+            _enter_ctx("L2")
 
     def _l0_owns(self, exit_info):
         """Exits L0 consumes without reflecting: host interrupts and
@@ -248,10 +247,12 @@ class NestedStack:
 
         # Line 3: reflect hardware-written state into vmcs12.
         self._charge(costs.vmcs_transform_each, Category.VMCS_TRANSFORM)
-        with (obs.span("vmcs_transform:02->12", level=0)
-              if obs is not None else _NO_SPAN):
-            transform_02_to_12(self.vmcs02, self.vmcs12, self.ept01,
-                               obs=obs)
+        if obs is None:
+            transform_02_to_12(self.vmcs02, self.vmcs12, self.ept01)
+        else:
+            with obs.span("vmcs_transform:02->12", level=0):
+                transform_02_to_12(self.vmcs02, self.vmcs12, self.ept01,
+                                   obs=obs)
 
         # Lines 4-5: load vmcs01, inject the trap into vmcs12.
         l0_cost = costs.l0_pure(exit_info.reason)
@@ -262,70 +263,122 @@ class NestedStack:
 
         # Line 6: VM resume into L1.
         self.engine.enter_l1(exit_info, vcpu)
-        _enter_ctx("L1")
+        if _san.ACTIVE is not None:
+            _enter_ctx("L1")
         self.engine.charge_l1_lazy()
 
         # Lines 7-11: L1 handles the trap (aux traps fire via the VMCS
         # callback while it touches non-shadowed vmcs01' fields).
         self._charge(costs.l1_pure(exit_info.reason), Category.L1_HANDLER)
         writer = self.engine.l1_writer(vcpu)
-        with (obs.span(f"l1_handler:{exit_info.reason}", level=1,
-                       reason=exit_info.reason)
-              if obs is not None else _NO_SPAN):
+        if obs is None:
             self.l1.handle_exit(exit_info, self.l2_vm, vcpu, writer,
                                 self.vmcs01p)
+        else:
+            with obs.span(f"l1_handler:{exit_info.reason}", level=1,
+                          reason=exit_info.reason):
+                self.l1.handle_exit(exit_info, self.l2_vm, vcpu, writer,
+                                    self.vmcs01p)
 
         # Line 12: L1's VM resume traps back into L0.
         self.engine.leave_l1(vcpu)
-        _enter_ctx("L0")
+        if _san.ACTIVE is not None:
+            _enter_ctx("L0")
 
         # Lines 13-14: load vmcs02, transform vmcs12 back into it.
         self.engine.load_vmcs(self.vmcs02)
         self._charge(l0_cost - inject_cost, Category.L0_HANDLER)
         self._charge(costs.vmcs_transform_each, Category.VMCS_TRANSFORM)
-        with (obs.span("vmcs_transform:12->02", level=0)
-              if obs is not None else _NO_SPAN):
+        if obs is None:
             transform_12_to_02(self.vmcs12, self.vmcs02, self.ept01,
                                self.l0.policy,
-                               composed_ept=self.composed_ept, obs=obs)
+                               composed_ept=self.composed_ept)
+        else:
+            with obs.span("vmcs_transform:12->02", level=0):
+                transform_12_to_02(self.vmcs12, self.vmcs02, self.ept01,
+                                   self.l0.policy,
+                                   composed_ept=self.composed_ept, obs=obs)
 
     # ------------------------------------------------------------------
     # Aux traps: L1's privileged ops during handling (Alg. 1 lines 8-10)
     # ------------------------------------------------------------------
 
+    #
+    # Temporal decoupling (TLM-2.0 style, docs/performance.md): a run of
+    # n aux traps whose legs the engine reports constant is charged as
+    # one Simulator.try_charge of n times the legs' total, with the
+    # tracer and aux counters bumped in one step each.  When an event
+    # could fall due inside the run, each trap tries alone.  The per-leg
+    # walk (_aux_trap) is the reference and runs whenever an observer or
+    # the sanitizer is attached, the engine has no constant plan, or an
+    # event could fall due inside the trap.
+
     def _l1_vmcs_trap(self, kind, field_name):
         """L1 touched a non-shadowed vmcs01' field: trap to L0, emulate,
         resume L1."""
-        if not self._shadowing:
-            return
-        started = self.sim.now
-        self._aux_trap(kind, f"aux_exit:vmcs:{field_name}")
-        self.aux_exit_counts[kind] += 1
-        self.aux_exit_ns[kind] += self.sim.now - started
+        if self._shadowing and not self._decoupled(kind, 1):
+            self._aux_trap(kind, field_name)
+
+    def _l1_vmcs_burst(self, kind, field_names):
+        """A run of trapping vmcs01' accesses (:meth:`Vmcs.guest_read_all`),
+        one aux trap per field."""
+        if self._shadowing and not self._decoupled(kind, len(field_names)):
+            for field_name in field_names:
+                self._l1_vmcs_trap(kind, field_name)
 
     def l1_aux_op(self, kind):
         """A privileged non-VMCS op by L1 during handling (INVEPT, timer
         reprogramming, control-register writes) — same trap pattern."""
+        if not self._decoupled(kind, 1):
+            self._aux_trap(kind)
+
+    def l1_aux_ops(self, kind, count):
+        """``count`` back-to-back :meth:`l1_aux_op` calls of one kind."""
+        if count > 0 and not self._decoupled(kind, count):
+            for _ in range(count):
+                self.l1_aux_op(kind)
+
+    def _decoupled(self, kind, count):
+        """Charge ``count`` aux traps of ``kind`` at once, or return
+        False (nothing charged) when the per-leg walk must run."""
+        if self.obs is not None or self.tracer.observer is not None \
+                or _san.ACTIVE is not None:
+            return False
+        plan = self.engine.aux_plan(kind)
+        if plan is None:
+            return False
+        total, legs = plan
+        if not self.sim.try_charge(total * count):
+            return False
+        for category, ns, records in legs:
+            self.tracer.add(category, ns * count, records * count)
+        self.aux_exit_counts[kind] += count
+        self.aux_exit_ns[kind] += total * count
+        return True
+
+    def _aux_trap(self, kind, field_name=None):
+        """One aux trap, leg by leg: L0 captures the trap, emulates,
+        resumes."""
         started = self.sim.now
-        self._aux_trap(kind, f"aux_exit:{kind}")
+        obs = self.obs
+        if obs is None:
+            self._aux_legs(kind)
+        else:
+            name = (f"aux_exit:vmcs:{field_name}" if field_name is not None
+                    else f"aux_exit:{kind}")
+            with obs.span(name, level=0, kind=kind):
+                self._aux_legs(kind)
+            obs.count("aux_exits_total", kind=kind)
         self.aux_exit_counts[kind] += 1
         self.aux_exit_ns[kind] += self.sim.now - started
 
-    def _aux_trap(self, kind, span_name):
-        """Shared aux-trap body: L0 captures the trap, emulates, resumes."""
-        obs = self.obs
-        with (obs.span(span_name, level=0, kind=kind)
-              if obs is not None else _NO_SPAN):
-            previous = _enter_ctx("L0")
-            self.engine.aux_exit_begin()
-            self._charge(self.costs.l0_pure(kind), Category.L0_HANDLER)
-            propagate = getattr(self.engine, "propagate_aux", None)
-            if propagate is not None:
-                propagate(kind)
-            self.engine.aux_exit_end()
-            _leave_ctx(previous)
-        if obs is not None:
-            obs.count("aux_exits_total", kind=kind)
+    def _aux_legs(self, kind):
+        previous = _enter_ctx("L0")
+        self.engine.aux_exit_begin()
+        self._charge(self.costs.l0_pure(kind), Category.L0_HANDLER)
+        self.engine.propagate_aux(kind)
+        self.engine.aux_exit_end()
+        _leave_ctx(previous)
 
     # ------------------------------------------------------------------
     # Single-level exits: L1's own traps into L0
@@ -338,21 +391,12 @@ class NestedStack:
         vcpu.exits += 1
         started = self.sim.now
         obs = self.obs
-        with (obs.span(f"l1_exit:{exit_info.reason}", level=0,
-                       reason=exit_info.reason)
-              if obs is not None else _NO_SPAN):
-            _enter_ctx("L1")                       # hardware, on L1's behalf
-            self.vmcs01.record_exit(exit_info)
-            self.engine.exit_l1_single()
-            _enter_ctx("L0")
-            self.engine.charge_l0_single_lazy()
-            self._charge(self.costs.l0_single(exit_info.reason),
-                         Category.L0_HANDLER)
-            writer = self.engine.l0_single_writer(vcpu)
-            self.l0.handle_exit(exit_info, self.l1_vm, vcpu, writer,
-                                self.vmcs01)
-            self.engine.resume_l1_single()
-            _enter_ctx("L1")
+        if obs is None:
+            self._l1_exit(exit_info, vcpu)
+        else:
+            with obs.span(f"l1_exit:{exit_info.reason}", level=0,
+                          reason=exit_info.reason):
+                self._l1_exit(exit_info, vcpu)
         elapsed = self.sim.now - started
         self.exit_ns["L1:" + exit_info.reason] += elapsed
         self.exit_counts["L1:" + exit_info.reason] += 1
@@ -362,6 +406,23 @@ class NestedStack:
             obs.observe("exit_ns", elapsed, reason=exit_info.reason,
                         level=1)
         return elapsed
+
+    def _l1_exit(self, exit_info, vcpu):
+        if _san.ACTIVE is not None:
+            _enter_ctx("L1")                       # hardware, on L1's behalf
+        self.vmcs01.record_exit(exit_info)
+        self.engine.exit_l1_single()
+        if _san.ACTIVE is not None:
+            _enter_ctx("L0")
+        self.engine.charge_l0_single_lazy()
+        self._charge(self.costs.l0_single(exit_info.reason),
+                     Category.L0_HANDLER)
+        writer = self.engine.l0_single_writer(vcpu)
+        self.l0.handle_exit(exit_info, self.l1_vm, vcpu, writer,
+                            self.vmcs01)
+        self.engine.resume_l1_single()
+        if _san.ACTIVE is not None:
+            _enter_ctx("L1")
 
     # ------------------------------------------------------------------
     # Interrupt delivery helpers (used by the I/O models)

@@ -16,6 +16,7 @@ Three operations, matching Figure 2 and Algorithm 1:
 
 from dataclasses import dataclass, field
 
+from repro.sim import sanitizer as _san
 from repro.virt.vmcs import FieldRegistry
 
 #: Guest-state fields reflected in both directions.
@@ -43,6 +44,7 @@ _EXIT_ADDRESS = FieldRegistry.get("guest_physical_address").name
 #: copies need no per-field lookup.
 _COPIED_12_TO_02 = _GUEST_STATE_FIELDS + _CONTROL_FIELDS
 _REFLECTED_02_TO_12 = _GUEST_STATE_FIELDS + _EXIT_FIELDS
+_COPIED_12_TO_02_SET = frozenset(_COPIED_12_TO_02)
 
 #: Sentinel host-physical address standing in for L0's VM-exit entry point.
 L0_HANDLER_ENTRY = 0xFFFF_8000_0000_0000
@@ -85,17 +87,40 @@ def transform_12_to_02(vmcs12, vmcs02, ept01, policy, composed_ept=None,
     :meth:`repro.virt.ept.EptTable.compose`); when given, vmcs02's EPT
     pointer is marked as pointing at it.
 
-    Returns the names of address-bearing fields that were translated.
+    Refresh: when vmcs02 was last built by this function from this
+    vmcs12, under the same ``ept01`` layout, and neither descriptor's
+    journal was taken since, only the table fields written on either
+    side since then are copied and translated; every other field
+    already holds what a full copy would store.  Otherwise, and always
+    under the sanitizer (which needs each field's events), the whole
+    table is copied.
+
+    Returns the names of address-bearing fields that were translated:
+    every nonzero address control, refreshed or not.
     """
     values12 = vmcs12._values
+    synced = (vmcs12, vmcs12.journal_epoch, vmcs02.journal_epoch, ept01,
+              ept01.layout)
+    changed = vmcs12.take_journal()
+    changed |= vmcs02.take_journal()
+    if vmcs02.synced_from == synced and _san.ACTIVE is None:
+        # Every table field is already in vmcs02 (only restore() drops
+        # one, and it clears synced_from), so copy order cannot change
+        # the insertion order.
+        names = changed & _COPIED_12_TO_02_SET
+        full = False
+    else:
+        names = _COPIED_12_TO_02
+        full = True
     translated = []
     rewritten = {}
     for name in _ADDRESS_CONTROLS:
         value = values12.get(name, 0)
         if isinstance(value, int) and value != 0:
-            rewritten[name] = ept01.translate(value)
+            if full or name in names:
+                rewritten[name] = ept01.translate(value)
             translated.append(name)
-    vmcs02.copy_fields(vmcs12, _COPIED_12_TO_02, rewritten)
+    vmcs02.copy_fields(vmcs12, names, rewritten)
 
     # Host-state area of vmcs02 is L0's own, never L1's: a trap from L2
     # must always land in L0 first (paper Fig. 1 step 1).  The sentinel
@@ -114,6 +139,9 @@ def transform_12_to_02(vmcs12, vmcs02, ept01, policy, composed_ept=None,
     if composed_ept is not None:
         vmcs02.ept = composed_ept
     vmcs02.take_dirty()
+    vmcs02.take_journal()
+    vmcs02.synced_from = (vmcs12, vmcs12.journal_epoch,
+                          vmcs02.journal_epoch, ept01, ept01.layout)
     if obs is not None:
         obs.count("vmcs_fields_copied_total", direction="12->02",
                   n=len(_COPIED_12_TO_02))

@@ -57,6 +57,13 @@ class VCpu:
             return self._context.read(register)
         return self.memory_state.read(register)
 
+    def read_many(self, registers):
+        """``{register: self.read(register)}`` for every register, in
+        order: one call down the context/register-file chain."""
+        if self._context is not None:
+            return self._context.read_many(registers)
+        return self.memory_state.read_many(registers)
+
     def write(self, register, value):
         if self._context is not None:
             self._context.write(register, value)

@@ -118,6 +118,19 @@ _EXIT_RECORD_FIELDS = tuple(FieldRegistry.get(name).name for name in (
     "exit_reason", "exit_qualification", "guest_rip", "instruction_length",
 ))
 
+#: Field-name tuple -> its names that trap on a guest read (memo of
+#: :meth:`Vmcs.guest_read_all`; callers pass a few fixed tuples).
+_TRAPPING_READS = {}
+
+
+def _trapping_reads(names):
+    trapping = _TRAPPING_READS.get(names)
+    if trapping is None:
+        trapping = tuple(name for name in names
+                         if not FieldRegistry.get(name).shadow_read)
+        _TRAPPING_READS[names] = trapping
+    return trapping
+
 
 class Vmcs:
     """One VM state descriptor.
@@ -131,15 +144,26 @@ class Vmcs:
     or hypervisor memory.
     """
 
-    def __init__(self, name, exit_on_write_callback=None):
+    def __init__(self, name, exit_on_write_callback=None,
+                 burst_callback=None):
         self.name = name
         self._values = {}
         self._dirty = set()
+        # Write journal: every field written since take_journal() last
+        # ran, and how many times it has run.  The vmcs12 -> vmcs02
+        # refresh copies only journaled fields (KVM's dirty-vmcs12
+        # tracking); ``synced_from`` is what that refresh last built
+        # this descriptor from.
+        self._journal = set()
+        self.journal_epoch = 0
+        self.synced_from = None
         self.loaded = False
         # When set, reads/writes of non-shadowed fields invoke this
         # callback — that is how an L1 access to vmcs01' traps into L0
-        # (paper Alg. 1 lines 8-10).
+        # (paper Alg. 1 lines 8-10).  ``burst_callback(kind, names)``
+        # takes a whole run of trapping reads (guest_read_all) at once.
         self._trap_callback = exit_on_write_callback
+        self._burst_callback = burst_callback
         # Software-configured trap sets (paper §3.1: "Intel uses various
         # VMCS fields to identify which registers will trap").
         self.trapped_msrs = set()
@@ -168,6 +192,7 @@ class Vmcs:
                                "Vmcs.write")
         self._values[field_name] = value
         self._dirty.add(field_name)
+        self._journal.add(field_name)
 
     def copy_fields(self, source, names, rewritten):
         """Bulk ``self.write(name, source.read(name), force=True)`` for
@@ -188,6 +213,7 @@ class Vmcs:
             values[name] = read(name, 0)
         values.update(rewritten)
         self._dirty.update(names)
+        self._journal.update(names)
 
     # -- shadowed access (used by a guest hypervisor on its own VMCS) -----
 
@@ -207,6 +233,22 @@ class Vmcs:
             self._trap_callback("VMWRITE", field_name)
         self.write(field_name, value, force=not fld.writable)
 
+    def guest_read_all(self, names):
+        """:meth:`guest_read` of every name in the ``names`` tuple, values
+        discarded (a handler walking control state).  With a burst
+        callback and no sanitizer the trapping reads reach the
+        supervisor as one call; the reads themselves only validate the
+        names, which the memo did.  The sanitizer needs each read's
+        event in order, so it gets the per-field walk."""
+        burst = self._burst_callback
+        if burst is None or _san.ACTIVE is not None:
+            for name in names:
+                self.guest_read(name)
+            return
+        trapping = _trapping_reads(names)
+        if trapping:
+            burst("VMREAD", trapping)
+
     # -- dirty tracking (drives transformation cost accounting) -----------
 
     def take_dirty(self):
@@ -217,6 +259,13 @@ class Vmcs:
     @property
     def dirty_fields(self):
         return frozenset(self._dirty)
+
+    def take_journal(self):
+        """The fields written since the last call; starts a new epoch."""
+        journal = self._journal
+        self._journal = set()
+        self.journal_epoch += 1
+        return journal
 
     # -- exit info plumbing -------------------------------------------------
 
@@ -232,6 +281,7 @@ class Vmcs:
         values["guest_rip"] = exit_info.guest_rip
         values["instruction_length"] = exit_info.instruction_length
         self._dirty.update(_EXIT_RECORD_FIELDS)
+        self._journal.update(_EXIT_RECORD_FIELDS)
 
     def snapshot(self):
         return dict(self._values)
@@ -253,6 +303,11 @@ class Vmcs:
         if _san.ACTIVE is not None:
             _san.ACTIVE.record(f"vmcs:{self.name}", "*", "w",
                                "Vmcs.restore")
+        # Journal every key on either side.  Keys the snapshot lacks are
+        # dropped, so a refresh into this descriptor must be a full copy
+        # (which re-adds them in table order).
+        self._journal.update(self._values, values)
+        self.synced_from = None
         self._values = dict(values)
         self._dirty |= set(changed)
         return changed

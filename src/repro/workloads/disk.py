@@ -98,8 +98,7 @@ def _one_sync_request(machine, blk, cfg, write):
     machine.run_instruction(isa.mmio_write(blk.device.doorbell_gpa, 0))
     if write:
         # L1's write path: journaling and sync privileged ops.
-        for _ in range(cfg.write_l1_aux_ops):
-            stack.l1_aux_op(ExitReason.VMWRITE)
+        stack.l1_aux_ops(ExitReason.VMWRITE, cfg.write_l1_aux_ops)
         for _ in range(cfg.write_l1_singles):
             _l1_single(machine)
         for _ in range(cfg.write_extra_wakes):
@@ -158,8 +157,8 @@ def run_bandwidth(mode=ExecutionMode.BASELINE, write=False, config=None,
             ))
         machine.run_instruction(isa.mmio_write(blk.device.doorbell_gpa, 0))
         if write:
-            for _ in range(cfg.write_l1_aux_ops * batch):
-                stack.l1_aux_op(ExitReason.VMWRITE)
+            stack.l1_aux_ops(ExitReason.VMWRITE,
+                             cfg.write_l1_aux_ops * batch)
             for _ in range(cfg.write_l1_singles):
                 _l1_single(machine)
             for _ in range(cfg.write_extra_wakes):

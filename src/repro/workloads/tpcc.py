@@ -61,8 +61,7 @@ def _one_disk_op(machine, blk, sector, write):
     if write:
         # WAL fsync: journaling privileged ops in L1 (as in the fio
         # write path, amortised).
-        for _ in range(6):
-            machine.stack.l1_aux_op(ExitReason.VMWRITE)
+        machine.stack.l1_aux_ops(ExitReason.VMWRITE, 6)
     machine.wait_until(lambda: blk.device.requests.has_used)
     blk.device.reap_completions()
     machine.run_instruction(isa.wrmsr(MSR_APIC_EOI, 0))

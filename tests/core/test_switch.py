@@ -90,6 +90,12 @@ def test_sw_svt_trap_payload_carries_registers():
     engine.leave_l1(vcpu)
     assert sent["exit_reason"] == ExitReason.CPUID
     assert sent["regs"]["rbx"] == 0x1234
+    # Nested values are read-only, so the ring's seal keeps them as
+    # they are instead of deep-copying them.
+    with pytest.raises(TypeError):
+        sent["regs"]["rbx"] = 0
+    with pytest.raises(TypeError):
+        sent["qualification"]["leaf"] = 2
 
 
 def test_sw_svt_l1_writes_ride_the_resume_payload():

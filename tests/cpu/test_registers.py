@@ -35,6 +35,17 @@ def test_unknown_register_rejected():
         ArchRegisters().write("es", 1)
 
 
+def test_read_many_matches_read_and_rejects_unknown_names():
+    regs = ArchRegisters({"rax": 1, "rip": 0x1000})
+    names = ("rip", "rbx", "rax")
+    assert regs.read_many(names) == {name: regs.read(name)
+                                     for name in names}
+    assert list(regs.read_many(names)) == list(names)
+    with pytest.raises(VirtualizationError, match="'xmm0'"):
+        regs.read_many(("rax", "xmm0", "es"))
+    assert RegNames.ALL_SET == frozenset(RegNames.ALL)
+
+
 def test_non_integer_value_rejected():
     with pytest.raises(VirtualizationError):
         ArchRegisters().write("rax", "nope")

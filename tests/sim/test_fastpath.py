@@ -70,6 +70,30 @@ def test_charge_zero_matches_advance_zero(sim):
     assert sim.peek_next_time() == slow.peek_next_time()
 
 
+def test_try_charge_only_when_nothing_falls_due(sim):
+    assert sim.try_charge(100)
+    assert sim.now == 100
+    fired = []
+    sim.after(50, fired.append, "x")          # due at 150
+    assert not sim.try_charge(50)            # due exactly at the target
+    assert not sim.try_charge(80)
+    assert sim.now == 100 and fired == []   # refused: nothing moved
+    assert sim.try_charge(49)
+    assert sim.now == 149
+    sim.charge(1)
+    assert fired == ["x"]
+    assert sim.try_charge(10_000)            # queue empty again
+
+
+def test_try_charge_rejects_negative(sim):
+    import pytest
+
+    from repro.sim.engine import SimulationError
+
+    with pytest.raises(SimulationError):
+        sim.try_charge(-1)
+
+
 def test_next_due_survives_cancelling_the_earliest(sim):
     fired = []
     early = sim.after(10, fired.append, "early")

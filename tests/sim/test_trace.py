@@ -49,6 +49,27 @@ def test_record_forwards_charges_to_an_observer():
     assert tracer.observer.charges == [(Category.CHANNEL, 30)]
 
 
+def test_add_is_several_records_in_one_step():
+    one, many = Tracer(), Tracer()
+    for _ in range(3):
+        one.record(Category.STALL_RESUME, 0)
+        one.record(Category.L0_HANDLER, 40)
+    many.add(Category.STALL_RESUME, 0, 3)
+    many.add(Category.L0_HANDLER, 120, 3)
+    assert list(many.totals.items()) == list(one.totals.items())
+    assert list(many.counts.items()) == list(one.counts.items())
+    with pytest.raises(ValueError):
+        many.add(Category.IDLE, -1, 1)
+
+
+def test_add_refuses_an_observer():
+    # An observer needs one interval per record; a batch has none.
+    tracer = Tracer()
+    tracer.observer = object()
+    with pytest.raises(ValueError):
+        tracer.add(Category.CHANNEL, 30, 1)
+
+
 def test_table1_rows_cover_the_paper_rows():
     """Six rows in the paper's order; lazy save/restore folds into the
     handler rows and no category lands in two rows."""

@@ -47,6 +47,16 @@ def test_overlapping_mappings_rejected():
         ept.map_mmio(0x1800, 0x1000, NullDevice("d", 0x1800))
 
 
+def test_layout_counts_successful_mappings_only():
+    ept = EptTable()
+    ept.map_range(0x0, 0x2000, 0x100000)
+    ept.map_mmio(0xF000, 0x1000, NullDevice("d", 0xF000))
+    with pytest.raises(EptFault):
+        ept.map_range(0x1000, 0x1000, 0x200000)
+    ept.invalidate()                       # a TLB flush moves nothing
+    assert ept.layout == 2
+
+
 def test_zero_size_rejected():
     ept = EptTable()
     with pytest.raises(EptFault):

@@ -282,3 +282,106 @@ def test_bulk_transforms_match_per_field_reference(ept01, monkeypatch,
     assert bulk == reference
     if sanitized:
         assert len(bulk[-1]) > 100
+
+
+# -- the journal refresh against the same per-field reference -------------
+
+
+def _refresh_exercise(transforms, record_exit, ept01):
+    """Repeated syncs of one vmcs12/vmcs02 pair, with every kind of
+    change between them that the journal refresh must pick up."""
+    to_02, to_12 = transforms
+    vmcs12, vmcs02 = _world()
+    stale02 = vmcs02.snapshot()           # lacks most table fields
+    log = EventLog()
+    policy = L0Policy(forced_msr_traps={0x10})
+    injector = FaultInjector(FaultPlan(
+        seed=5, rates=((FaultKind.VMCS_FLIP, 1.0),)))
+    out = []
+
+    def sync():
+        translated = to_02(vmcs12, vmcs02, ept01, policy, obs=log)
+        out.append((translated, _state(vmcs02)))
+
+    sync()
+    sync()                                # nothing changed
+    # L1's handler writes through the shadow (a retranslated address,
+    # a control, guest state).
+    vmcs12.guest_write("msr_bitmap_addr", 0x9000)
+    vmcs12.guest_write("exception_bitmap", 0x4)
+    vmcs12.guest_write("guest_rip", 0x1100)
+    sync()
+    # Hardware records an exit in vmcs02; L0's direct path writes it.
+    record_exit(vmcs02, ExitInfo(ExitReason.HLT, guest_rip=0x1102))
+    sync()
+    vmcs02.write("tsc_offset", 77)
+    vmcs02.guest_write("guest_rsp", 0xBEEF)
+    sync()
+    record_exit(vmcs02, ExitInfo(ExitReason.EPT_VIOLATION, {"gpa": 0x7000},
+                                 guest_rip=0x1104))
+    out.append(to_12(vmcs02, vmcs12, ept01, obs=log))
+    sync()
+    # ept01 grows (demand paging) while an address moves into the new
+    # range.
+    ept01.map_range(0x1000000, 0x10000, 0x80000000)
+    vmcs12.write("io_bitmap_addr", 0x1000040)
+    sync()
+    ept01.map_range(0x2000000, 0x1000, 0x90000000)
+    sync()
+    # The scrubber's repair path drops the fields the snapshot lacks.
+    vmcs02.restore(stale02)
+    sync()
+    snapshot12 = vmcs12.snapshot()
+    for _ in range(3):
+        injector.corrupt_vmcs(vmcs12)
+        injector.corrupt_vmcs(vmcs02)
+        sync()
+    vmcs12.restore(snapshot12)
+    sync()
+    return out, _state(vmcs12), _state(vmcs02), log.counts
+
+
+@pytest.mark.parametrize("sanitized", [False, True])
+def test_journal_refresh_matches_per_field_reference(monkeypatch,
+                                                     sanitized):
+    runs = []
+    for transforms, record_exit in (
+            ((transform_12_to_02, transform_02_to_12), Vmcs.record_exit),
+            ((reference_12_to_02, reference_02_to_12),
+             reference_record_exit)):
+        san = EventLog() if sanitized else None
+        monkeypatch.setattr(sanitizer, "ACTIVE", san)
+        ept01 = EptTable("ept01")
+        ept01.map_range(0x0, 0x1000000, 0x40000000)
+        run = _refresh_exercise(transforms, record_exit, ept01)
+        runs.append(run + (san.events if san is not None else None,))
+    bulk, reference = runs
+    assert bulk == reference
+    # The refresh ran with real changes to find.
+    assert bulk[0][0][0] == ["msr_bitmap_addr", "ept_pointer"]
+    assert "io_bitmap_addr" in bulk[0][-1][0]
+
+
+def test_refresh_copies_only_journaled_fields(ept01):
+    vmcs12, vmcs02 = make_vmcs12(), Vmcs("vmcs02")
+    transform_12_to_02(vmcs12, vmcs02, ept01, L0Policy())
+    copied = []
+    original = vmcs02.copy_fields
+
+    def spy(source, names, rewritten):
+        copied.append((set(names), dict(rewritten)))
+        original(source, names, rewritten)
+
+    vmcs02.copy_fields = spy
+    vmcs12.write("exception_bitmap", 0x1)
+    assert transform_12_to_02(vmcs12, vmcs02, ept01, L0Policy()) == [
+        "msr_bitmap_addr", "ept_pointer"]
+    assert copied == [({"exception_bitmap"}, {})]
+    # A new ept01 layout, another source or the sanitizer: full copy.
+    ept01.map_range(0x2000000, 0x1000, 0x0)
+    transform_12_to_02(vmcs12, vmcs02, ept01, L0Policy())
+    assert len(copied[-1][0]) == len(FieldRegistry.names(category="guest")
+                                     + FieldRegistry.names(
+                                         category="control"))
+    assert copied[-1][1] == {"msr_bitmap_addr": 0x40003000,
+                             "ept_pointer": 0x40005000}

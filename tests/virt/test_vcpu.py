@@ -38,6 +38,18 @@ def test_writes_go_to_context_when_pinned(vcpu):
     assert vcpu.memory_state.read("rbx") == 0
 
 
+def test_read_many_from_either_home(vcpu):
+    names = ("rax", "rbx", "rip")
+    vcpu.write("rax", 3)
+    vcpu.write("rip", 0x40)
+    in_memory = vcpu.read_many(names)
+    vcpu.bind_context(HardwareContext(2, PhysicalRegisterFile(128)))
+    assert vcpu.read_many(names) == in_memory == {
+        name: vcpu.read(name) for name in names}
+    with pytest.raises(VirtualizationError):
+        vcpu.read_many(("rax", "xmm0"))
+
+
 def test_unbind_evicts_state_back_to_memory(vcpu):
     # Paper §3.1: multiplexing past the core's SMT width.
     ctx = HardwareContext(2, PhysicalRegisterFile(128))

@@ -57,6 +57,43 @@ def test_non_shadowed_guest_access_traps():
     assert traps == [("VMWRITE", "ept_pointer"), ("VMREAD", "host_rip")]
 
 
+def test_guest_read_all_hands_the_trapping_reads_over_at_once(monkeypatch):
+    names = ("exit_reason", "ept_pointer", "tsc_offset")
+    single, bursts = [], []
+    vmcs = Vmcs("t", exit_on_write_callback=lambda k, f: single.append(f),
+                burst_callback=lambda k, fs: bursts.append((k, fs)))
+    vmcs.guest_read_all(names)
+    assert single == []
+    assert bursts == [("VMREAD", ("ept_pointer", "tsc_offset"))]
+    with pytest.raises(VmcsError):
+        vmcs.guest_read_all(("bogus",))
+    # The sanitizer needs every read's event: one guest_read per name.
+    monkeypatch.setattr(sanitizer, "ACTIVE", type(
+        "Log", (), {"record": lambda *args: None})())
+    vmcs.guest_read_all(names)
+    assert single == ["ept_pointer", "tsc_offset"]
+    assert len(bursts) == 1
+
+
+def test_write_journal_and_epochs():
+    vmcs = Vmcs("t")
+    vmcs.write("guest_rip", 1)
+    vmcs.copy_fields(Vmcs("src"), ("tsc_offset",), {})
+    vmcs.record_exit(ExitInfo(ExitReason.CPUID))
+    assert vmcs.take_journal() == {
+        "guest_rip", "tsc_offset", "exit_reason", "exit_qualification",
+        "instruction_length"}
+    assert vmcs.journal_epoch == 1
+    snapshot = {"exception_bitmap": 4}
+    vmcs.synced_from = ("marker",)
+    vmcs.restore(snapshot)
+    assert vmcs.synced_from is None        # keys were dropped
+    assert vmcs.take_journal() == {
+        "guest_rip", "tsc_offset", "exit_reason", "exit_qualification",
+        "instruction_length", "exception_bitmap"}
+    assert vmcs.journal_epoch == 2
+
+
 def test_guest_access_without_callback_is_silent():
     vmcs = Vmcs("t")
     vmcs.guest_write("ept_pointer", 1)
