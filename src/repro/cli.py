@@ -38,6 +38,15 @@ from repro.exp.cache import ResultCache, default_cache_dir
 from repro.exp.result import canonical_json
 
 
+def jobs_count(text):
+    """``--jobs`` value: a worker count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     registry.ensure_loaded()
     parser = argparse.ArgumentParser(
@@ -67,7 +76,8 @@ def build_parser():
                              f"{', '.join(costmodels.model_names())})")
     parser.add_argument("--json", action="store_true",
                         help="emit structured results as canonical JSON")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=jobs_count, default=1,
+                        metavar="N",
                         help="fan independent cells out over N worker "
                              "processes (default 1; output is "
                              "byte-identical at any N)")
@@ -257,7 +267,8 @@ def _cmd_chaos(argv):
     parser.add_argument("--iterations", type=int, default=None,
                         help="nested cpuid iterations per cell "
                              "(default 30)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=jobs_count, default=1,
+                        metavar="N",
                         help="worker processes (default 1; output is "
                              "byte-identical at any N)")
     parser.add_argument("--smoke", action="store_true",

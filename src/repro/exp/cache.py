@@ -21,6 +21,11 @@ Entries are one JSON file per (experiment, key) holding the serialized
 :class:`~repro.exp.result.Result` plus the key material for debugging.
 Corrupt or stale-schema entries read as misses.
 
+A run computes each experiment's key once (:meth:`ResultCache.key`) and
+hands it to :meth:`~ResultCache.load` and :meth:`~ResultCache.store`;
+each cache digests a cost model's constants once, however many keys
+fold them in.
+
 """
 
 from __future__ import annotations
@@ -84,10 +89,23 @@ class ResultCache:
                  cost_fingerprint: Optional[str] = None,
                  code_version: Optional[str] = None) -> None:
         self.root = Path(root) if root else default_cache_dir()
-        self._cost_fp = cost_fingerprint or cost_model_fingerprint()
+        #: (model, fingerprint) for each model this cache has keyed.
+        self._model_fps: list[tuple[CostModel, str]] = []
+        self._cost_fp = cost_fingerprint or \
+            self._model_fingerprint(costmodels.resolve(None))
         self._code_fp = code_version or code_fingerprint()
 
     # -- keys ------------------------------------------------------------
+
+    def _model_fingerprint(self, model: CostModel) -> str:
+        """:func:`cost_model_fingerprint` of ``model``, computed once
+        per model this cache sees (models are frozen)."""
+        for seen, fingerprint in self._model_fps:
+            if seen is model:
+                return fingerprint
+        fingerprint = cost_model_fingerprint(model)
+        self._model_fps.append((model, fingerprint))
+        return fingerprint
 
     def key(self, name: str, params: Mapping[str, Any]) -> str:
         model = costmodels.resolve(params.get("cost_model"))
@@ -100,7 +118,7 @@ class ResultCache:
                 # id plus a digest of its constants, so renaming a
                 # model and perturbing one both miss.
                 "cost_model_id": model.model_id,
-                "cost_model_fp": cost_model_fingerprint(model),
+                "cost_model_fp": self._model_fingerprint(model),
                 "code": self._code_fp,
                 "kernel": KERNEL_VERSION,
             },
@@ -108,21 +126,23 @@ class ResultCache:
         ).encode()
         return hashlib.sha256(material).hexdigest()[:24]
 
-    def path_for(self, name: str, params: Mapping[str, Any]) -> Path:
-        return self.root / f"{name}-{self.key(name, params)}.json"
+    def path_for(self, name: str, key: str) -> Path:
+        return self.root / f"{name}-{key}.json"
 
     # -- access ----------------------------------------------------------
 
-    def load(self, name: str,
-             params: Mapping[str, Any]) -> Optional[Result]:
-        """Cached :class:`Result` for this key, or ``None`` on a miss."""
-        path = self.path_for(name, params)
+    def load(self, name: str, params: Mapping[str, Any],
+             key: Optional[str] = None) -> Optional[Result]:
+        """Cached :class:`Result` for this key, or ``None`` on a miss.
+
+        ``key`` is :meth:`key` of ``(name, params)`` when the caller
+        already has it."""
+        key = key or self.key(name, params)
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(self.path_for(name, key).read_text())
         except (OSError, ValueError):
             return None
-        if doc.get("schema") != SCHEMA or doc.get("key") != self.key(
-                name, params):
+        if doc.get("schema") != SCHEMA or doc.get("key") != key:
             return None
         try:
             return Result.from_dict(doc["result"])
@@ -130,14 +150,16 @@ class ResultCache:
             return None
 
     def store(self, name: str, params: Mapping[str, Any],
-              result: Result) -> Path:
-        """Write one entry; returns its path."""
+              result: Result, key: Optional[str] = None) -> Path:
+        """Write one entry; returns its path.  ``key`` as for
+        :meth:`load`."""
+        key = key or self.key(name, params)
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(name, params)
+        path = self.path_for(name, key)
         doc = {
             "schema": SCHEMA,
             "experiment": name,
-            "key": self.key(name, params),
+            "key": key,
             "params": dict(params),
             "cost_model_id":
                 costmodels.resolve(params.get("cost_model")).model_id,

@@ -164,6 +164,7 @@ class AblationHwModel(Experiment):
     description = "paper's Sec.-6 scaling vs simulating the hardware"
     defaults = {"repeat": 20}
     smoke = {"repeat": 10}
+    lazy_imports = ("repro.analysis.hw_model",)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         return hw_model_cross_check(repeat=params["repeat"])

@@ -25,6 +25,7 @@ class Fig6Cpuid(Experiment):
     description = "nested cpuid latency: L0/L1/L2 vs SW/HW SVt"
     defaults = {"iterations": 50}
     smoke = {"iterations": 10}
+    lazy_imports = ("repro.workloads.cpuid",)
 
     #: Bar label -> how to run it (level for single-level, else mode).
     BARS = (
@@ -120,6 +121,7 @@ class Fig7Subsystems(Experiment):
     description = "netperf + ioping/fio latency and bandwidth speedups"
     defaults = {"net_operations": 12, "disk_operations": 10}
     smoke = {"net_operations": 6, "disk_operations": 5}
+    lazy_imports = ("repro.workloads.disk", "repro.workloads.netperf")
 
     def cells(self, params: dict[str, Any]) -> tuple[str, ...]:
         return tuple(
@@ -196,11 +198,21 @@ class Fig8Memcached(Experiment):
     description = "ETC workload sweep: avg/p99 latency against the SLA"
     defaults = {"seed": 7, "requests": 30_000}
     smoke = {"requests": 5_000}
+    lazy_imports = ("repro.workloads.memcached",)
 
     SLA_US = 500.0
 
     def cells(self, params: dict[str, Any]) -> tuple[str, ...]:
         return _SVT_MODES
+
+    def warm(self) -> None:
+        """Also probe the native queue loop (build check, load and
+        self-check) once, so forked workers inherit the checked library,
+        or the reason it is unavailable."""
+        super().warm()
+        from repro.workloads import memcached_native
+
+        memcached_native.library()
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         from repro.workloads import memcached
@@ -286,6 +298,7 @@ class Fig9Tpcc(Experiment):
     description = "TPC-C/PostgreSQL transactions per minute"
     defaults = {"transactions": 3}
     smoke = {"transactions": 2}
+    lazy_imports = ("repro.workloads.tpcc",)
 
     def cells(self, params: dict[str, Any]) -> tuple[str, ...]:
         return _SVT_MODES
@@ -325,6 +338,7 @@ class Fig10Video(Experiment):
     title = "Figure 10: dropped frames"
     description = "soft-realtime video playback drop counts"
     defaults = {"seed": 7}
+    lazy_imports = ("repro.workloads.video",)
 
     FPS = (24, 60, 120)
 

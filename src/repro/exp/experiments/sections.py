@@ -22,6 +22,7 @@ class Sec61Channels(Experiment):
     description = "wait-mechanism observations and cpuid impact"
     defaults = {"iterations": 40}
     smoke = {"iterations": 10}
+    lazy_imports = ("repro.workloads.channels",)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         from repro.workloads import channels
@@ -81,6 +82,7 @@ class DeepNesting(Experiment):
     title = "Deep nesting extension"
     description = "analytic trap cost at depth k, baseline vs SVt"
     defaults = {"depth": 5}
+    lazy_imports = ("repro.virt.deep",)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         from repro.virt.deep import DeepNestingModel
@@ -122,6 +124,8 @@ class L3Functional(Experiment):
     title = "Functional third level"
     description = "live L3 cpuid/timer cost in every execution mode"
     defaults = {"repeat": 4}
+    lazy_imports = ("repro.core.system", "repro.cpu.isa",
+                    "repro.virt.hypervisor", "repro.virt.l3")
 
     def cells(self, params: dict[str, Any]) -> tuple[str, ...]:
         return ExecutionMode.ALL
@@ -174,6 +178,7 @@ class Coexist(Experiment):
     title = "SVt/SMT coexistence"
     description = "crossover nested-trap rate where SVt beats SMT"
     defaults = {}
+    lazy_imports = ("repro.core.coexist",)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         from repro.core.coexist import CoexistConfig, crossover_trap_rate
@@ -205,6 +210,7 @@ class RelatedWork(Experiment):
     title = "Sec. 7 related-work comparison"
     description = "SR-IOV/side-core/ELI vs SVt on one nested I/O op"
     defaults = {}
+    lazy_imports = ("repro.core.related_work",)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         from repro.core.related_work import speedup_table

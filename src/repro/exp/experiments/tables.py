@@ -17,6 +17,7 @@ class Table1Breakdown(Experiment):
     description = "per-part time of one nested cpuid (baseline)"
     defaults = {"iterations": 50}
     smoke = {"iterations": 10}
+    lazy_imports = ("repro.workloads.cpuid",)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         from repro.workloads import cpuid
@@ -55,6 +56,7 @@ class Table3Footprint(Experiment):
     name = "table3"
     title = "Table 3: prototype footprint"
     description = "paper prototype LoC vs this repo's equivalents"
+    lazy_imports = ("repro.analysis.loc",)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         from repro.analysis.loc import PAPER, audit
@@ -97,6 +99,7 @@ class Table4Machine(Experiment):
     name = "table4"
     title = "Table 4: machine parameters"
     description = "the paper's testbed topology (host, L1, L2)"
+    lazy_imports = ("repro.config",)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         from repro.config import paper_machine

@@ -20,6 +20,8 @@ An experiment declares:
 * ``merge(params, payloads)`` — assemble the cells (always presented in
   ``cells()`` order, regardless of completion order) into a
   :class:`~repro.exp.result.Result`.
+* ``lazy_imports`` — the modules ``run_cell`` and ``merge`` import
+  inside the function; :meth:`Experiment.warm` loads them.
 
 An experiment runs one way, through :mod:`repro.exp.runner`:
 :meth:`Experiment.resolve` gives its parameters and the runner's
@@ -30,6 +32,7 @@ An experiment runs one way, through :mod:`repro.exp.runner`:
 
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Optional, TypeVar
 
 from repro.cpu import costmodels
@@ -61,6 +64,7 @@ class Experiment:
     description: ClassVar[str] = ""
     defaults: ClassVar[dict[str, Any]] = {}
     smoke: ClassVar[dict[str, Any]] = {}
+    lazy_imports: ClassVar[tuple[str, ...]] = ()
 
     # -- parameters ------------------------------------------------------
 
@@ -98,6 +102,18 @@ class Experiment:
     def cells(self, params: dict[str, Any]) -> tuple[str, ...]:
         """Independent work units; override to enable parallel fan-out."""
         return ("all",)
+
+    def warm(self) -> None:
+        """Do in this process the set-up every cell would repeat.
+
+        The default imports :attr:`lazy_imports`.  The runner calls it
+        in the parent just before it forks a worker pool, so each
+        worker inherits the loaded modules instead of compiling them
+        again in its first cell.  Serial and fully cached runs never
+        call it: they would only pay for imports earlier.
+        """
+        for module in self.lazy_imports:
+            importlib.import_module(module)
 
     def run_cell(self, cell: str, params: dict[str, Any]) -> Any:
         raise NotImplementedError

@@ -12,12 +12,17 @@ byte-identical whether cells ran serially, in any interleaving, or on any
 number of workers.  Wall-clock timings are collected alongside but kept
 *out* of the result document (they go to ``results/runtime_smoke.json``
 via :func:`runtime_smoke`).
+
+Shared set-up happens once: just before it forks the pool, the runner
+calls :meth:`~repro.exp.registry.Experiment.warm` on every experiment it
+is about to compute, so the workers inherit its imports (and fig8's
+probed native loop) instead of each repeating them.  A serial run never
+warms and never imports the pool machinery.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
@@ -182,14 +187,16 @@ def run_experiments(names: Iterable[str],
     experiment's fast-run parameter overrides first;
     ``collect_metrics`` captures per-cell observability metrics
     (cached results carry no metrics, so the CLI disables the cache
-    when asked for them).
+    when asked for them).  ``jobs`` below 1 raises ``ValueError``.
     """
     # Diagnostic wall-clock (RunReport.wall_seconds stays out of the
     # canonical result document; see to_document's docstring).
     started = time.perf_counter()  # svtlint: disable=SVT001
+    if int(jobs) < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = sorted(dict.fromkeys(names))
     report = RunReport(
-        jobs=max(1, int(jobs)),
+        jobs=int(jobs),
         cache_dir=str(cache.root) if cache else "",
         cache_enabled=cache is not None,
     )
@@ -201,8 +208,8 @@ def run_experiments(names: Iterable[str],
         experiment = registry.get(name)
         params = experiment.resolve(overrides, smoke=smoke)
         if cache is not None:
-            report.cache_keys[name] = cache.key(name, params)
-            hit = cache.load(name, params)
+            key = report.cache_keys[name] = cache.key(name, params)
+            hit = cache.load(name, params, key=key)
             if hit is not None:
                 finished[name] = ExperimentRun(name, hit, True, 0.0)
                 continue
@@ -219,6 +226,10 @@ def run_experiments(names: Iterable[str],
     snapshots: dict[str, list[dict[str, Any]]] = {}
     with ExitStack() as stack:
         if report.jobs > 1 and len(cells) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            for _name, experiment, _params in plans:
+                experiment.warm()
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=report.jobs))
             outcomes = pool.map(_execute_cell, *zip(*cells),
@@ -246,7 +257,8 @@ def run_experiments(names: Iterable[str],
             # (took), never the payload element merged into the
             # Result; cached bytes are proven schedule-independent by
             # tests/exp/test_runner.py's determinism differentials.
-            cache.store(name, params, result)
+            cache.store(name, params, result,
+                        key=report.cache_keys[name])
         metrics = None
         if collect_metrics:
             # merge_snapshots is order-independent, so the merged

@@ -2,8 +2,9 @@
 
 One :class:`~repro.fuzz.case.FuzzCase` runs on a fresh
 :class:`~repro.core.system.Machine` for every execution mode —
-BASELINE / SW_SVT / HW_SVT — always with the runtime ordering sanitizer
-armed.  Each run produces a :class:`MachineOutcome`;
+BASELINE / SW_SVT / HW_SVT — with the runtime ordering sanitizer armed,
+and once more without it, so the fast paths the sanitizer switches off
+run too.  Each run produces a :class:`MachineOutcome`;
 :func:`evaluate_case` bundles the three outcomes with the oracle
 verdicts (:mod:`repro.fuzz.oracles`) into one JSON-ready
 :class:`CaseReport`.
@@ -63,9 +64,10 @@ DRAIN_MAX_EVENTS = 200_000
 
 
 @contextmanager
-def sanitized():
+def sanitized(on=True):
     """Arm ``REPRO_SIM_SANITIZE`` for the block (restoring the previous
-    setting), so every fuzz machine runs under the ordering sanitizer.
+    setting), so a fuzz machine runs under the ordering sanitizer; with
+    ``on=False`` disarm it instead.
 
     Implemented through the environment: the flag is how
     ``Machine.__init__`` discovers the sanitizer, and pool workers
@@ -76,8 +78,12 @@ def sanitized():
     # never reaches a result byte (the flag-flip differential proves
     # it).
     previous = os.environ.get(sanitizer.ENV_FLAG)
-    os.environ[  # svtlint: disable=SVT001 — as above
-        sanitizer.ENV_FLAG] = "1"
+    if on:
+        os.environ[  # svtlint: disable=SVT001 — as above
+            sanitizer.ENV_FLAG] = "1"
+    else:
+        # svtlint: disable=SVT001 — as above
+        os.environ.pop(sanitizer.ENV_FLAG, None)
     try:
         yield
     finally:
@@ -141,6 +147,8 @@ class MachineOutcome:
     instructions: int = 0
     exits: dict = field(default_factory=dict)
     aux_exits: dict = field(default_factory=dict)
+    #: Tracer category -> [ns, records]: the time each layer was charged.
+    charged: dict = field(default_factory=dict)
     deliveries: list = field(default_factory=list)
     pending: list = field(default_factory=list)
     steering: dict = field(default_factory=dict)
@@ -199,6 +207,7 @@ class MachineOutcome:
             "instructions": self.instructions,
             "exits": self.exits,
             "aux_exits": self.aux_exits,
+            "charged": self.charged,
             "deliveries": [list(entry) for entry in self.deliveries],
             "pending": self.pending,
             "steering": self.steering,
@@ -284,12 +293,14 @@ def _steering_snapshot(machine, steering):
         steering["resolve"] = resolved
 
 
-def run_case_on(mode, case, bug=None, cost_model=None):
+def run_case_on(mode, case, bug=None, cost_model=None, sanitize=True):
     """Execute one case on a fresh machine; never raises for
-    simulation-level failures — they land in the outcome."""
+    simulation-level failures — they land in the outcome.  With
+    ``sanitize=False`` the machine runs without the ordering sanitizer,
+    on the fast paths it would switch off."""
     outcome = MachineOutcome(mode=str(mode))
     bug_name = bug if bug is not None else case.bug
-    with sanitized(), costmodels.use_default(cost_model):
+    with sanitized(sanitize), costmodels.use_default(cost_model):
         sanitizer.drain()   # isolate this run's reports
         machine = Machine(mode=mode, faults=case.fault_plan)
         if bug_name:
@@ -319,6 +330,11 @@ def run_case_on(mode, case, bug=None, cost_model=None):
         outcome.exits = dict(sorted(machine.stack.exit_counts.items()))
         outcome.aux_exits = dict(
             sorted(machine.stack.aux_exit_counts.items()))
+        tracer = machine.tracer
+        outcome.charged = {
+            str(category): [ns, tracer.counts[category]]
+            for category, ns in sorted(tracer.totals.items())
+        }
         outcome.pending = [
             machine.interrupts.pending_count(index)
             for index in range(machine.core.n_contexts)
@@ -432,8 +448,10 @@ class CaseReport:
 def evaluate_case(case, bug=None, cost_model=None, replay_check=True):
     """Run a case differentially and judge it against the oracles.
 
-    ``replay_check`` re-runs one combination from the same seed and
-    demands a byte-identical outcome document — the replay oracle.
+    Every mode also runs without the sanitizer, for the fast-path
+    oracle.  ``replay_check`` re-runs one combination from the same
+    seed and demands a byte-identical outcome document — the replay
+    oracle.
     """
     from repro.fuzz import oracles
 
@@ -442,6 +460,11 @@ def evaluate_case(case, bug=None, cost_model=None, replay_check=True):
         for mode in MODES
     }
     violations = oracles.check_oracles(case, outcomes)
+    violations.extend(oracles.check_fast_paths(outcomes, {
+        mode: run_case_on(mode, case, bug=bug, cost_model=cost_model,
+                          sanitize=False)
+        for mode in MODES
+    }))
     if replay_check:
         probe = ExecutionMode.HW_SVT
         again = run_case_on(probe, case, bug=bug, cost_model=cost_model)

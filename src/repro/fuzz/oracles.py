@@ -16,8 +16,15 @@ Zero-fault, stock-machine expectations:
 
 Under an armed :class:`~repro.faults.FaultPlan` only **crash** (minus
 deadlocks, which the plan legitimises) stays armed, next to the
-harness's **replay** oracle — fault draws are seeded, so even chaos
-must replay identically.
+harness's **replay** and **fast-path** oracles — fault draws are
+seeded, so even chaos must replay identically.
+
+**fast-path** (:func:`check_fast_paths`) compares each mode's sanitized
+run with a run of the same case without the sanitizer.  The sanitizer
+forces the reference walks (every aux trap charged leg by leg, vmcs02
+refreshed by a full copy); without it the decoupled aux-trap charging
+and the journal-driven vmcs02 refresh run, and they must give the same
+outcome document.
 """
 
 from dataclasses import dataclass
@@ -153,6 +160,22 @@ def _check_sanitizer(outcomes, out):
                 "unordered access(es); first: "
                 + outcome.sanitizer_reports[0],
                 mode=str(mode)))
+
+
+def check_fast_paths(sanitized, unsanitized):
+    """The fast-path oracle over two ``{mode: outcome}`` maps of one
+    case; returns the (possibly empty) violations."""
+    out = []
+    for mode, outcome in sorted(sanitized.items()):
+        checked = outcome.replay_comparable()
+        fast = unsanitized[mode].replay_comparable()
+        if canonical_json(fast) != canonical_json(checked):
+            out.append(Violation(
+                "fast-path",
+                "without the sanitizer the run diverged in "
+                f"{_differing_keys(checked, fast)}",
+                mode=str(mode)))
+    return out
 
 
 def _differing_keys(left, right):

@@ -7,6 +7,7 @@ case's outcome document is byte-stable under replay.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -99,7 +100,60 @@ def test_sanitized_context_manager_restores_env():
         with sanitized():
             pass
         assert os.environ.get(sanitizer.ENV_FLAG) == "1"
+        with sanitized(on=False):
+            assert os.environ.get(sanitizer.ENV_FLAG) is None
+        assert os.environ.get(sanitizer.ENV_FLAG) == "1"
     assert os.environ.get(sanitizer.ENV_FLAG) == sentinel
+
+
+def test_unsanitized_runs_take_the_fast_paths(monkeypatch):
+    """The fast-path oracle's second run reaches what the sanitizer
+    switches off: decoupled aux-trap charges and the journal-driven
+    vmcs02 refresh (a copy of fewer fields than the full table)."""
+    from repro.sim.engine import Simulator
+    from repro.virt import transform
+    from repro.virt.vmcs import Vmcs
+
+    taken = Counter()
+    try_charge = Simulator.try_charge
+    copy_fields = Vmcs.copy_fields
+
+    def spy_charge(self, ns):
+        accepted = try_charge(self, ns)
+        taken["decoupled"] += accepted
+        return accepted
+
+    def spy_copy(self, source, names, rewritten):
+        if names is not transform._COPIED_12_TO_02 \
+                and names is not transform._REFLECTED_02_TO_12:
+            taken["refresh"] += 1
+        return copy_fields(self, source, names, rewritten)
+
+    monkeypatch.setattr(Simulator, "try_charge", spy_charge)
+    monkeypatch.setattr(Vmcs, "copy_fields", spy_copy)
+    case = generate_case(CLEAN_SEED, n_ops=N_OPS, fault_ratio=0.0)
+    for mode in MODES:
+        taken.clear()
+        run_case_on(mode, case)
+        assert not taken, mode
+        run_case_on(mode, case, sanitize=False)
+        assert taken["decoupled"] > 0 and taken["refresh"] > 0, mode
+
+
+def test_fast_path_divergence_is_caught(monkeypatch):
+    """A decoupled aux-trap run that prices a leg one nanosecond off
+    the per-leg walk is seen only without the sanitizer, and only the
+    fast-path oracle fires, once per mode."""
+    from repro.sim.trace import Tracer
+
+    add = Tracer.add
+    monkeypatch.setattr(Tracer, "add", lambda self, category, ns, count:
+                        add(self, category, ns + 1, count))
+    report = evaluate_case(generate_case(CLEAN_SEED, n_ops=N_OPS,
+                                         fault_ratio=0.0))
+    assert report.violated_oracles() == ["fast-path"]
+    assert sorted(v.mode for v in report.violations) == sorted(MODES)
+    assert all("charged" in v.detail for v in report.violations)
 
 
 def test_steering_snapshot_reports_table2(clean_report):
