@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test smoke bench bench-smoke dse fuzz fuzz-smoke lint clean
+.PHONY: test smoke bench bench-smoke fuzz fuzz-smoke lint clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -24,15 +24,7 @@ bench:
 # baseline; exits nonzero on a >25% wall-clock regression.
 bench-smoke:
 	$(PYTHON) -m repro bench --smoke --repeats 3 \
-		--cost-model xeon-paper \
 		--baseline BENCH_sim.json --out BENCH_smoke.json --check
-
-# Design-space sweep over the registered cost models (docs/
-# cost-models.md): records each model's three modes once, re-prices
-# the recordings across the parameter grid, and rewrites the committed
-# results/dse_frontier.json crossover-frontier artifact.
-dse:
-	$(PYTHON) -m repro dse
 
 # Differential fuzzing (docs/fuzzing.md): seed-deterministic guest
 # programs run across all three execution modes with the oracle suite

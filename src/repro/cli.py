@@ -19,8 +19,6 @@ set — nothing can be silently dropped.
     python -m repro run cpuid --profile        # cProfile a single cell
     python -m repro table1 --metrics metrics.json
     python -m repro bench --smoke     # perf harness -> BENCH_sim.json
-    python -m repro table1 --cost-model arm-flavour
-    python -m repro dse --smoke       # replay-based design-space sweep
 
 Results are cached under ``results/cache/`` keyed by (experiment,
 params, cost-model fingerprint, code version); ``--no-cache`` forces
@@ -32,7 +30,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.cpu import costmodels
 from repro.exp import registry, runner
 from repro.exp.cache import ResultCache, default_cache_dir
 from repro.exp.result import canonical_json
@@ -69,11 +66,6 @@ def build_parser():
                              "per-experiment)")
     parser.add_argument("--depth", type=int, default=None,
                         help="max nesting depth for 'deep' (default 5)")
-    parser.add_argument("--cost-model", default=None, metavar="NAME",
-                        choices=costmodels.model_names(),
-                        help="price every simulation under a registered "
-                             "cost model (default xeon-paper; see "
-                             f"{', '.join(costmodels.model_names())})")
     parser.add_argument("--json", action="store_true",
                         help="emit structured results as canonical JSON")
     parser.add_argument("--jobs", type=jobs_count, default=1,
@@ -140,10 +132,6 @@ def build_run_parser():
     parser.add_argument("--iterations", type=int, default=50,
                         help="measured iterations (default 50; one "
                              "warm-up iteration is added)")
-    parser.add_argument("--cost-model", default=None, metavar="NAME",
-                        choices=costmodels.model_names(),
-                        help="price the run under a registered cost "
-                             "model (default xeon-paper)")
     parser.add_argument("--trace", type=Path, default=None,
                         metavar="PATH",
                         help="write a Chrome trace_event JSON to PATH")
@@ -192,8 +180,7 @@ def _cmd_run(argv):
 
     mode = ExecutionMode.validate(args.mode)
     observer = Observer()
-    machine = Machine(mode=mode, observer=observer,
-                      costs=args.cost_model)
+    machine = Machine(mode=mode, observer=observer)
     profiler = None
     if args.profile:
         import cProfile
@@ -336,11 +323,6 @@ def _cmd_bench(argv):
     parser.add_argument("--repeats", type=int, default=3, metavar="N",
                         help="timed repetitions per experiment; the "
                              "minimum is reported (default 3)")
-    parser.add_argument("--cost-model", default=None, metavar="NAME",
-                        choices=costmodels.model_names(),
-                        help="time the experiments under a registered "
-                             "cost model (default xeon-paper; also "
-                             "exercises model-id cache keys in CI)")
     parser.add_argument("--out", type=Path, default=None, metavar="PATH",
                         help="output document (default BENCH_sim.json "
                              "at the repo root)")
@@ -377,10 +359,7 @@ def _cmd_bench(argv):
         pass
 
     doc = bench.bench_document(names=names, sections=sections,
-                               repeats=args.repeats,
-                               overrides={
-                                   "cost_model": args.cost_model,
-                               })
+                               repeats=args.repeats)
 
     out = args.out or bench.default_bench_path()
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -447,12 +426,6 @@ def main(argv=None):
         from repro.fuzz.cli import main as fuzz_main
 
         return fuzz_main(argv[1:])
-    if argv[:1] == ["dse"]:
-        # Same pattern: the design-space driver sweeps cost-model
-        # parameters via trace replay (repro.exp.dse).
-        from repro.exp.dse import main as dse_main
-
-        return dse_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         return _cmd_list()
@@ -462,7 +435,7 @@ def main(argv=None):
     names = (registry.names() if args.experiment == "all"
              else [args.experiment])
     overrides = {"seed": args.seed, "iterations": args.iterations,
-                 "depth": args.depth, "cost_model": args.cost_model}
+                 "depth": args.depth}
     collect_metrics = args.metrics is not None
     # Cached results carry no metrics; force recomputation when asked
     # for a metrics dump so every cell actually runs under capture.

@@ -1,19 +1,20 @@
 """Named, validated cost-model registry.
 
-One simulator, many calibration points.  The paper's Xeon (Table 1) is
-the ``xeon-paper`` model and stays the default — a bare ``CostModel()``
-compares equal to it, so existing call sites are bit-identical.  On top
-of it the bundled modules register synthetic variants (``arm-flavour``,
-``riscv-flavour``, ``fast-switch``, ``slow-ring``) whose every constant
-carries a ``# synthetic:`` rationale (svtlint SVT002 enforces this the
-same way it enforces ``# paper:`` citations in ``repro.cpu.costs``).
+The simulator has one calibration: the paper's Xeon E5-2630v3
+(Table 1), registered as ``xeon-paper`` and used everywhere by default
+— a bare ``CostModel()`` compares equal to it.  Every constant carries
+a ``# paper:`` citation in :mod:`repro.cpu.costs` (svtlint SVT002).
+Other models enter as instances (``Machine(costs=...)``,
+:meth:`~repro.cpu.costs.CostModel.with_overrides`) or through
+:func:`register_model`, the hook tests use to run a second named model
+through the runner and the cache keys.
 
 Resolution has three layers, all going through :func:`resolve`:
 
 * ``None`` — the *ambient default*: whatever :func:`use_default` has
   installed (the experiment runner installs the ``cost_model``
   parameter around every cell), falling back to ``xeon-paper``.
-* a name — :func:`get_model` lookup (``"arm-flavour"``).
+* a name — :func:`get_model` lookup (``"xeon-paper"``).
 * a :class:`~repro.cpu.costs.CostModel` — passed through untouched.
 
 The ambient default is a per-process stack, so pool workers installing
@@ -142,9 +143,6 @@ def fingerprint(model):
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-# Bundled models register themselves on import (safe mid-module: the
-# registry functions above already exist when the submodules run).
-from repro.cpu.costmodels import ablations  # noqa: E402,F401
-from repro.cpu.costmodels import arm_flavour  # noqa: E402,F401
-from repro.cpu.costmodels import riscv_flavour  # noqa: E402,F401
+# The bundled model registers itself on import (safe mid-module: the
+# registry functions above already exist when the submodule runs).
 from repro.cpu.costmodels import xeon_paper  # noqa: E402,F401

@@ -202,8 +202,8 @@ class CostModel:
     # Stable name of the model these constants calibrate.  The default
     # instance *is* the paper's Xeon (Table 1), so a bare ``CostModel()``
     # and the registered ``xeon-paper`` model compare equal.  The id
-    # rides along in ``dataclasses.asdict`` and therefore in the segment
-    # cost fingerprints and the result-cache keys; the registry
+    # rides along in ``dataclasses.asdict`` and therefore in the
+    # cost-model fingerprint and the result-cache keys; the registry
     # (:mod:`repro.cpu.costmodels`) validates and resolves it.
     model_id: str = "xeon-paper"
 
@@ -300,19 +300,10 @@ class CostModel:
         """A copy with some constants replaced (ablation hook).
 
         ``model_id`` passes through unchanged unless overridden — the
-        copy is still "the xeon-paper model, perturbed".  Cache and
-        segment-memo identity come from the fingerprint over *all*
+        copy is still "the xeon-paper model, perturbed"; pass
+        ``model_id=`` to name a variant.  Result-cache and
+        service-time-memo identity come from the fingerprint over *all*
         fields, never from the id alone, so two different perturbations
-        sharing an id can never alias.  Use :meth:`derived` to mint a
-        named variant.
+        sharing an id can never alias.
         """
         return dataclasses.replace(self, **overrides)
-
-    def derived(self, model_id, **overrides):
-        """A named variant: :meth:`with_overrides` plus a new id.
-
-        This is how the registry's synthetic models are built from the
-        calibrated base — e.g. ``CostModel().derived("fast-switch",
-        switch_l2_l0=200, ...)``.
-        """
-        return dataclasses.replace(self, model_id=model_id, **overrides)

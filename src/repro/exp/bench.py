@@ -113,13 +113,12 @@ def _time_cells(name: str, params: dict[str, Any], repeats: int,
     return entry
 
 
-def bench_section(names: Iterable[str], smoke: bool, repeats: int = 3,
-                  overrides: Optional[Mapping[str, Any]] = None,
-                  ) -> dict[str, Any]:
+def bench_section(names: Iterable[str], smoke: bool,
+                  repeats: int = 3) -> dict[str, Any]:
     """One parameter section (smoke or full) of the bench document."""
     experiments: dict[str, Any] = {}
     for name in sorted(dict.fromkeys(names)):
-        params = registry.get(name).resolve(overrides, smoke=smoke)
+        params = registry.get(name).resolve(smoke=smoke)
         experiments[name] = _time_cells(name, params, repeats)
     total = sum(entry["wall_s"] for entry in experiments.values())
     return {"experiments": experiments,
@@ -128,9 +127,7 @@ def bench_section(names: Iterable[str], smoke: bool, repeats: int = 3,
 
 def bench_document(names: Optional[Iterable[str]] = None,
                    sections: Iterable[str] = ("smoke", "full"),
-                   repeats: int = 3,
-                   overrides: Optional[Mapping[str, Any]] = None,
-                   ) -> dict[str, Any]:
+                   repeats: int = 3) -> dict[str, Any]:
     """The full ``repro-bench/3`` document."""
     registry.ensure_loaded()
     names = sorted(names or registry.names())
@@ -145,8 +142,7 @@ def bench_document(names: Optional[Iterable[str]] = None,
         if section not in ("smoke", "full"):
             raise ValueError(f"unknown bench section {section!r}")
         doc["sections"][section] = bench_section(
-            names, smoke=(section == "smoke"), repeats=repeats,
-            overrides=overrides)
+            names, smoke=(section == "smoke"), repeats=repeats)
     return doc
 
 

@@ -30,7 +30,6 @@ fold them in.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from functools import lru_cache
@@ -57,16 +56,6 @@ def cost_model_fingerprint(model: Optional[CostModel] = None) -> str:
     default when omitted).  ``model_id`` is a field, so two models with
     identical constants but different names fingerprint apart."""
     return costmodels.fingerprint(costmodels.resolve(model))
-
-
-def registry_fingerprint() -> str:
-    """Digest over *every* registered model — any constant of any
-    model, or the registered set itself, changing invalidates keys
-    that fold this in."""
-    doc = {name: dataclasses.asdict(costmodels.get_model(name))
-           for name in costmodels.model_names()}
-    payload = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 @lru_cache(maxsize=1)

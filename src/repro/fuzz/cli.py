@@ -52,8 +52,6 @@ def build_parser():
                         help="report failures without shrinking "
                              "(default: delta-debug them to minimal "
                              "cases)")
-    parser.add_argument("--cost-model", default=None,
-                        help="registered cost model to run under")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default: 1)")
     parser.add_argument("--bug", default=None, choices=bugs.names(),
@@ -85,7 +83,7 @@ def _progress(entry):
           f"{status:<4} {oracles}", file=sys.stderr)
 
 
-def _replay_corpus(directory, cost_model):
+def _replay_corpus(directory):
     """Replay committed counterexamples.
 
     A case recorded with a ``bug`` must reproduce its recorded oracle
@@ -105,7 +103,7 @@ def _replay_corpus(directory, cost_model):
             entries.append({"file": path.name, "status": "skipped",
                             "detail": str(err)})
             continue
-        report = evaluate_case(case, cost_model=cost_model)
+        report = evaluate_case(case)
         problems = []
         if case.oracle:
             if case.oracle not in report.violated_oracles():
@@ -113,8 +111,7 @@ def _replay_corpus(directory, cost_model):
                     f"recorded oracle {case.oracle!r} did not fire "
                     f"(got: {report.violated_oracles() or 'none'})")
             if case.bug:
-                stock = evaluate_case(
-                    case, bug="", cost_model=cost_model)
+                stock = evaluate_case(case, bug="")
                 if stock.failed:
                     problems.append(
                         "case fails even without its bug armed: "
@@ -144,8 +141,7 @@ def main(argv=None):
             print(f"repro fuzz: no corpus directory {args.corpus}",
                   file=sys.stderr)
             return 2
-        entries, failures = _replay_corpus(args.corpus,
-                                           args.cost_model)
+        entries, failures = _replay_corpus(args.corpus)
         doc = {"schema": "repro-fuzz-corpus/1", "entries": entries,
                "failures": failures}
         if args.json:
@@ -164,7 +160,7 @@ def main(argv=None):
     progress = None if args.json else _progress
     doc = driver.run_campaign(
         seed=args.seed, runs=args.runs, n_ops=args.ops, bug=args.bug,
-        cost_model=args.cost_model, shrink=args.shrink,
+        shrink=args.shrink,
         budget=args.budget, jobs=args.jobs, progress=progress,
     )
     if args.json:

@@ -1,7 +1,7 @@
 """The fuzz campaign driver.
 
-A campaign is a pure function of ``(seed, runs, ops, bug, cost_model,
-shrink budget)``: per-run case seeds are labelled forks of the campaign
+A campaign is a pure function of ``(seed, runs, ops, bug, shrink
+budget)``: per-run case seeds are labelled forks of the campaign
 seed, each case evaluates differentially (six machines plus the replay
 probe), failures shrink, and the results assemble **in run order** into
 a ``repro-fuzz/1`` document that contains no wall-clock time, worker
@@ -36,13 +36,12 @@ def run_one(spec):
     """Evaluate (and, on failure, shrink) one campaign run.
 
     ``spec`` is a plain tuple so a process pool can pickle it:
-    ``(campaign_seed, index, n_ops, bug, cost_model, do_shrink,
-    budget)``.  Returns one JSON-ready campaign entry.
+    ``(campaign_seed, index, n_ops, bug, do_shrink, budget)``.  Returns one JSON-ready campaign entry.
     """
-    campaign_seed, index, n_ops, bug, cost_model, do_shrink, budget = spec
+    campaign_seed, index, n_ops, bug, do_shrink, budget = spec
     seed = case_seed(campaign_seed, index)
     case = generate_case(seed, n_ops=n_ops, bug=bug)
-    report = evaluate_case(case, cost_model=cost_model)
+    report = evaluate_case(case)
     entry = {
         "index": index,
         "seed": seed,
@@ -55,7 +54,7 @@ def run_one(spec):
     if report.failed and do_shrink:
         oracle = report.violated_oracles()[0]
         shrunk, evals, reproducible = shrinker.shrink_case(
-            case, oracle, budget=budget, cost_model=cost_model)
+            case, oracle, budget=budget)
         entry["shrunk"] = {
             "case": shrunk.to_dict(),
             "ops": len(shrunk.ops),
@@ -65,11 +64,10 @@ def run_one(spec):
     return entry
 
 
-def run_campaign(seed, runs, n_ops=40, bug=None, cost_model=None,
-                 shrink=True, budget=shrinker.DEFAULT_BUDGET, jobs=1,
+def run_campaign(seed, runs, n_ops=40, bug=None, shrink=True, budget=shrinker.DEFAULT_BUDGET, jobs=1,
                  progress=None):
     """Run a whole campaign; returns the ``repro-fuzz/1`` document."""
-    specs = [(seed, index, n_ops, bug, cost_model, shrink, budget)
+    specs = [(seed, index, n_ops, bug, shrink, budget)
              for index in range(runs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -96,7 +94,6 @@ def run_campaign(seed, runs, n_ops=40, bug=None, cost_model=None,
         "runs": runs,
         "ops_per_run": n_ops,
         "bug": bug,
-        "cost_model": cost_model,
         "entries": entries,
         "summary": {
             "runs": len(entries),

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.core import cross_context
 from repro.core.mode import ExecutionMode
 from repro.core.system import Machine
-from repro.cpu import costmodels, isa
+from repro.cpu import isa
 from repro.cpu.interrupts import Vectors
 from repro.cpu.registers import RegNames
 from repro.errors import (CrossContextFault, DeadlockError, ReproError)
@@ -144,6 +144,10 @@ class MachineOutcome:
     mode: str
     state: dict = field(default_factory=dict)
     clock_ns: int = 0
+    #: The clock when the op stream ends, before the quiesce: the drain
+    #: runs to absolute-time events, so a mistimed charge inside the
+    #: stream can leave ``clock_ns`` unchanged but never this.
+    stream_clock_ns: int = 0
     instructions: int = 0
     exits: dict = field(default_factory=dict)
     aux_exits: dict = field(default_factory=dict)
@@ -204,6 +208,7 @@ class MachineOutcome:
         return {
             "state": self.state,
             "clock_ns": self.clock_ns,
+            "stream_clock_ns": self.stream_clock_ns,
             "instructions": self.instructions,
             "exits": self.exits,
             "aux_exits": self.aux_exits,
@@ -293,14 +298,14 @@ def _steering_snapshot(machine, steering):
         steering["resolve"] = resolved
 
 
-def run_case_on(mode, case, bug=None, cost_model=None, sanitize=True):
+def run_case_on(mode, case, bug=None, sanitize=True):
     """Execute one case on a fresh machine; never raises for
     simulation-level failures — they land in the outcome.  With
     ``sanitize=False`` the machine runs without the ordering sanitizer,
     on the fast paths it would switch off."""
     outcome = MachineOutcome(mode=str(mode))
     bug_name = bug if bug is not None else case.bug
-    with sanitized(sanitize), costmodels.use_default(cost_model):
+    with sanitized(sanitize):
         sanitizer.drain()   # isolate this run's reports
         machine = Machine(mode=mode, faults=case.fault_plan)
         if bug_name:
@@ -403,6 +408,7 @@ def _drive(machine, case, outcome):
             if machine.mode == ExecutionMode.HW_SVT:
                 _ctxt_burst(machine, op, outcome.steering)
     flush()
+    outcome.stream_clock_ns = machine.sim.now
     # Quiesce: fire every scheduled event (delayed irqs, the TSC
     # deadline), then take what landed pending — twice, because the
     # first drain program can itself arm new deliveries.
@@ -445,7 +451,7 @@ class CaseReport:
         }
 
 
-def evaluate_case(case, bug=None, cost_model=None, replay_check=True):
+def evaluate_case(case, bug=None, replay_check=True):
     """Run a case differentially and judge it against the oracles.
 
     Every mode also runs without the sanitizer, for the fast-path
@@ -456,18 +462,17 @@ def evaluate_case(case, bug=None, cost_model=None, replay_check=True):
     from repro.fuzz import oracles
 
     outcomes = {
-        mode: run_case_on(mode, case, bug=bug, cost_model=cost_model)
+        mode: run_case_on(mode, case, bug=bug)
         for mode in MODES
     }
     violations = oracles.check_oracles(case, outcomes)
     violations.extend(oracles.check_fast_paths(outcomes, {
-        mode: run_case_on(mode, case, bug=bug, cost_model=cost_model,
-                          sanitize=False)
+        mode: run_case_on(mode, case, bug=bug, sanitize=False)
         for mode in MODES
     }))
     if replay_check:
         probe = ExecutionMode.HW_SVT
-        again = run_case_on(probe, case, bug=bug, cost_model=cost_model)
+        again = run_case_on(probe, case, bug=bug)
         first = canonical_json(outcomes[probe].replay_comparable())
         second = canonical_json(again.replay_comparable())
         if first != second:

@@ -33,18 +33,17 @@ class _Budget:
         return True
 
 
-def _fails_same(case, oracle, budget, cost_model):
+def _fails_same(case, oracle, budget):
     """Does this candidate still trip the oracle we are shrinking
     against?  Replay checking is skipped during the search (it doubles
     one machine run per probe); the final confirmation re-enables it."""
     if not budget.take():
         return False
-    report = evaluate_case(case, cost_model=cost_model,
-                           replay_check=False)
+    report = evaluate_case(case, replay_check=False)
     return oracle in report.violated_oracles()
 
 
-def _ddmin(case, oracle, budget, cost_model):
+def _ddmin(case, oracle, budget):
     ops = list(case.ops)
     chunk = max(1, len(ops) // 2)
     while True:
@@ -56,7 +55,7 @@ def _ddmin(case, oracle, budget, cost_model):
                 index += chunk
                 continue
             candidate = case.with_ops(candidate_ops)
-            if _fails_same(candidate, oracle, budget, cost_model):
+            if _fails_same(candidate, oracle, budget):
                 ops = candidate_ops
                 shrunk_this_pass = True
             else:
@@ -69,7 +68,7 @@ def _ddmin(case, oracle, budget, cost_model):
     return case.with_ops(ops)
 
 
-def _reduce_args(case, oracle, budget, cost_model):
+def _reduce_args(case, oracle, budget):
     ops = list(case.ops)
     for index, op in enumerate(ops):
         for name, floor in _ARG_FLOORS:
@@ -79,13 +78,13 @@ def _reduce_args(case, oracle, budget, cost_model):
             candidate_ops = list(ops)
             candidate_ops[index] = op.replace_arg(name, floor)
             candidate = case.with_ops(candidate_ops)
-            if _fails_same(candidate, oracle, budget, cost_model):
+            if _fails_same(candidate, oracle, budget):
                 ops = candidate_ops
                 op = ops[index]
     return case.with_ops(ops)
 
 
-def shrink_case(case, oracle, budget=DEFAULT_BUDGET, cost_model=None):
+def shrink_case(case, oracle, budget=DEFAULT_BUDGET):
     """Minimise ``case`` against ``oracle``.
 
     Returns ``(shrunk_case, evaluations, reproducible)`` where
@@ -95,9 +94,9 @@ def shrink_case(case, oracle, budget=DEFAULT_BUDGET, cost_model=None):
     committing.
     """
     tracker = _Budget(budget)
-    best = _ddmin(case, oracle, tracker, cost_model)
-    best = _reduce_args(best, oracle, tracker, cost_model)
-    final = evaluate_case(best, cost_model=cost_model)
+    best = _ddmin(case, oracle, tracker)
+    best = _reduce_args(best, oracle, tracker)
+    final = evaluate_case(best)
     reproducible = oracle in final.violated_oracles()
     shrunk = best.with_oracle(oracle).with_ops(
         best.ops,

@@ -2,15 +2,15 @@
 
 The whole simulation is calibrated against the paper's published
 numbers; a timing constant with no provenance is unreviewable and
-silently decays as the model evolves.  In ``repro/cpu/costs.py`` and
+silently decays as the model evolves.  In ``repro/cpu/costs.py``, the
+cost-model registry under ``repro/cpu/costmodels/`` and
 ``repro/analysis/hw_model.py`` every numeric constant site —
 
 * class- or module-level assignments (the ``CostModel`` fields),
 * numeric values inside dict literals (the per-exit-reason handler
   tables),
 * numeric parameter defaults (``interrupt_wake_share=0.85``),
-* numeric keyword arguments in calls (the ``CostModel().derived(...)``
-  variant constructors),
+* numeric keyword arguments in calls (``with_overrides(...)``),
 
 — must carry a ``# paper:`` comment naming a table, figure, section
 (``§``), algorithm or appendix.  A citation counts when it sits on the
@@ -18,11 +18,11 @@ literal's own line, on a comment line directly above the literal (inside
 a dict), on the statement's first line, or in the comment block
 immediately above the statement (one citation may cover a whole dict).
 
-The registered variant models under ``repro/cpu/costmodels/`` are not
-all paper-calibrated: a constant there may instead carry a
-``# synthetic:`` comment with a non-empty rationale (*why* the variant
-deviates), so invented numbers are still reviewable — but the paper
-modules themselves accept only ``# paper:``.
+The shared backoff policy (``repro/faults/backoff.py``) is not
+paper-calibrated: a constant there may instead carry a ``# synthetic:``
+comment with a non-empty rationale (*why* that number), so engineering
+choices are still reviewable — but the paper modules accept only
+``# paper:``.
 """
 
 from __future__ import annotations
@@ -31,18 +31,17 @@ import ast
 import re
 from typing import Optional, Union
 
-from repro.lint.engine import LintContext, Rule
+from repro.lint.engine import LintContext, Rule, package_scoped
 from repro.lint.source import SourceFile
 
-MODULES = ("repro.cpu.costs", "repro.analysis.hw_model")
+#: Modules (or packages) whose constants accept only ``# paper:``.
+MODULES = ("repro.cpu.costs", "repro.cpu.costmodels",
+           "repro.analysis.hw_model")
 
-#: Modules (by prefix) where ``# synthetic: <rationale>`` also counts:
-#: the registered variant cost models, and the shared backoff policy
-#: whose schedule constants are engineering choices, not measurements.
-SYNTHETIC_PREFIXES = ("repro.cpu.costmodels", "repro.faults.backoff")
-
-#: Backwards-compatible alias (PR 6 name, single-prefix era).
-SYNTHETIC_PREFIX = SYNTHETIC_PREFIXES[0]
+#: Modules where ``# synthetic: <rationale>`` also counts: the shared
+#: backoff policy, whose schedule constants are engineering choices,
+#: not measurements.
+SYNTHETIC_PREFIXES = ("repro.faults.backoff",)
 
 _PAPER_RE = re.compile(r"#\s*paper:", re.I)
 _SYNTH_RE = re.compile(r"#\s*synthetic:", re.I)
@@ -79,14 +78,13 @@ class ProvenanceRule(Rule):
     title = "cost-model provenance"
 
     def applies(self, source: SourceFile) -> bool:
-        return (source.module in MODULES
-                or source.module.startswith(SYNTHETIC_PREFIXES))
+        return package_scoped(source, MODULES + SYNTHETIC_PREFIXES)
 
     # -- citation lookup -------------------------------------------------
 
     @staticmethod
     def _synthetic_ok(source: SourceFile) -> bool:
-        return source.module.startswith(SYNTHETIC_PREFIXES)
+        return package_scoped(source, SYNTHETIC_PREFIXES)
 
     def _cited(self, source: SourceFile, line: int) -> Optional[bool]:
         """True: anchored citation; False: malformed; None: absent."""
@@ -164,10 +162,10 @@ class ProvenanceRule(Rule):
                 self._check(literal, ctx)
 
     def visit_Call(self, node: ast.Call, ctx: LintContext) -> None:
-        # The variant constructors (`CostModel().derived("arm-flavour",
-        # switch_l2_l0=560, ...)`) pass their constants as keyword
-        # arguments; positional numerics stay out of scope (loop bounds,
-        # rounding digits and similar incidental literals).
+        # Override calls (`model.with_overrides(switch_l2_l0=560, ...)`)
+        # pass their constants as keyword arguments; positional
+        # numerics stay out of scope (loop bounds, rounding digits and
+        # similar incidental literals).
         for keyword in node.keywords:
             literal = _numeric_literal(keyword.value)
             if literal is not None:

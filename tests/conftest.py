@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cpu import costmodels
 from repro.cpu.costs import CostModel
 from repro.sim.engine import Simulator
 
@@ -130,3 +131,17 @@ def sim():
 @pytest.fixture
 def costs():
     return CostModel()
+
+
+@pytest.fixture
+def second_model():
+    """A second registered cost model (a cheaper L2<->L0 switch) for the
+    test's duration, so the name-keyed paths — the ``cost_model``
+    parameter through the runner, cache keys, ``use_default`` — see
+    more than the one bundled model."""
+    model = costmodels.register_model(CostModel().with_overrides(
+        model_id="second-test", switch_l2_l0=200))
+    try:
+        yield model
+    finally:
+        costmodels.unregister_model(model.model_id)

@@ -18,11 +18,7 @@ def test_xeon_paper_is_the_bare_cost_model():
 
 
 def test_bundled_models_are_registered():
-    assert set(costmodels.model_names()) >= {
-        "xeon-paper", "arm-flavour", "riscv-flavour",
-        "fast-switch", "slow-ring",
-    }
-    assert costmodels.model_names() == sorted(costmodels.model_names())
+    assert costmodels.model_names() == ["xeon-paper"]
 
 
 def test_every_registered_model_is_usable():
@@ -30,7 +26,7 @@ def test_every_registered_model_is_usable():
         model = costmodels.get_model(name)
         assert model.model_id == name
         assert model.table1_total() > 0
-        # CPUID must stay priced: it is the replay/dse anchor workload.
+        # CPUID must stay priced: it is the Table 1 anchor workload.
         assert "CPUID" in model.l0_handler_pure
 
 
@@ -39,25 +35,24 @@ def test_unknown_model_raises_with_known_names():
         costmodels.get_model("pentium-iii")
 
 
-def test_resolve_layers():
-    custom = CostModel().derived("custom-here", mwait_wake=90)
+def test_resolve_layers(second_model):
+    custom = CostModel().with_overrides(model_id="custom-here",
+                                        mwait_wake=90)
     assert costmodels.resolve(None) == CostModel()
-    assert costmodels.resolve("fast-switch") \
-        is costmodels.get_model("fast-switch")
+    assert costmodels.resolve("second-test") is second_model
     assert costmodels.resolve(custom) is custom
     with pytest.raises(ConfigError):
         costmodels.resolve(12345)
 
 
-def test_use_default_is_a_stack():
-    arm = costmodels.get_model("arm-flavour")
+def test_use_default_is_a_stack(second_model):
     assert costmodels.default_model() == CostModel()
-    with costmodels.use_default("arm-flavour"):
-        assert costmodels.default_model() is arm
-        assert costmodels.resolve(None) is arm
-        with costmodels.use_default("slow-ring"):
-            assert costmodels.default_model().model_id == "slow-ring"
-        assert costmodels.default_model() is arm
+    with costmodels.use_default("second-test"):
+        assert costmodels.default_model() is second_model
+        assert costmodels.resolve(None) is second_model
+        with costmodels.use_default("xeon-paper"):
+            assert costmodels.default_model().model_id == "xeon-paper"
+        assert costmodels.default_model() is second_model
     assert costmodels.default_model() == CostModel()
 
 
@@ -66,42 +61,44 @@ def test_register_rejects_duplicates_and_bad_ids():
         costmodels.register_model(CostModel())
     with pytest.raises(ConfigError):
         costmodels.validate_model(
-            CostModel().derived("Not Kebab Case"))
+            CostModel().with_overrides(model_id="Not Kebab Case"))
     with pytest.raises(ConfigError):
         costmodels.validate_model("not-a-model")
 
 
 def test_unregister_round_trip():
-    model = CostModel().derived("ephemeral-test", mwait_wake=90)
+    model = CostModel().with_overrides(model_id="ephemeral-test",
+                                       mwait_wake=90)
     costmodels.register_model(model)
     try:
         assert costmodels.get_model("ephemeral-test") is model
+        assert costmodels.model_names() == ["ephemeral-test",
+                                            "xeon-paper"]
     finally:
         costmodels.unregister_model("ephemeral-test")
     assert "ephemeral-test" not in costmodels.model_names()
 
 
-def test_machine_accepts_a_model_name():
-    machine = Machine(mode=ExecutionMode.BASELINE, costs="arm-flavour")
-    assert machine.costs is costmodels.get_model("arm-flavour")
+def test_machine_accepts_a_model_name(second_model):
+    machine = Machine(mode=ExecutionMode.BASELINE, costs="second-test")
+    assert machine.costs is second_model
 
 
-def test_machine_differs_across_models():
+def test_machine_differs_across_models(second_model):
     from repro.workloads import cpuid
 
     per_model = {
         name: cpuid.run(iterations=10, costs=name).ns_per_op
-        for name in ("xeon-paper", "riscv-flavour", "fast-switch")
+        for name in ("xeon-paper", "second-test")
     }
     assert per_model["xeon-paper"] == 10400.0
-    assert per_model["riscv-flavour"] > per_model["xeon-paper"]
-    assert per_model["fast-switch"] < per_model["xeon-paper"]
+    assert per_model["second-test"] < per_model["xeon-paper"]
 
 
 def test_model_id_rides_segment_fingerprints():
-    # Same constants, different id: the segment memo and every other
-    # asdict-based fingerprint must treat them as distinct models.
+    # Same constants, different id: the cost-model fingerprint and
+    # every other asdict-based digest must treat them as distinct.
     import dataclasses
 
-    twin = CostModel().derived("twin-of-xeon")
+    twin = CostModel().with_overrides(model_id="twin-of-xeon")
     assert dataclasses.asdict(twin) != dataclasses.asdict(CostModel())

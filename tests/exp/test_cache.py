@@ -67,22 +67,22 @@ def test_fingerprints_are_stable():
     assert len(cost_model_fingerprint()) == 16
 
 
-def test_cost_model_param_keys_differently(tmp_path):
-    # The registry refactor's cache bar: the same experiment under a
-    # different registered model must occupy a different cache slot.
+def test_cost_model_param_keys_differently(tmp_path, second_model):
+    # The registry's cache bar: the same experiment under a different
+    # registered model must occupy a different cache slot.
     cache = ResultCache(tmp_path)
     xeon = {**PARAMS, "cost_model": "xeon-paper"}
-    arm = {**PARAMS, "cost_model": "arm-flavour"}
-    assert cache.key("x", xeon) != cache.key("x", arm)
+    other = {**PARAMS, "cost_model": second_model.model_id}
+    assert cache.key("x", xeon) != cache.key("x", other)
     # "xeon-paper" is what an absent param resolves to, but it is still
     # a distinct *param dict*, which the key material already covers.
     cache.store("x", xeon, _result())
-    assert cache.load("x", arm) is None
+    assert cache.load("x", other) is None
     assert cache.load("x", xeon) == _result()
 
 
-def test_per_model_fingerprints_differ():
-    assert cost_model_fingerprint("arm-flavour") \
+def test_per_model_fingerprints_differ(second_model):
+    assert cost_model_fingerprint(second_model.model_id) \
         != cost_model_fingerprint("xeon-paper")
     assert cost_model_fingerprint("xeon-paper") \
         == cost_model_fingerprint()

@@ -87,9 +87,10 @@ def test_resolve_merges_defaults(toy):
         toy.resolve({"seed": 5}, strict=True)
 
 
-def test_resolve_accepts_universal_overrides(toy):
-    resolved = toy.resolve({"cost_model": "fast-switch"}, strict=True)
-    assert resolved == {"cost_model": "fast-switch", "iterations": 3}
+def test_resolve_accepts_universal_overrides(toy, second_model):
+    name = second_model.model_id
+    resolved = toy.resolve({"cost_model": name}, strict=True)
+    assert resolved == {"cost_model": name, "iterations": 3}
 
 
 def test_resolve_lays_smoke_over_defaults(toy):

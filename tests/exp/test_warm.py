@@ -141,7 +141,8 @@ def test_jobs_below_one_is_rejected():
 
 
 def test_one_fingerprint_per_model_and_one_key_per_entry(monkeypatch,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          second_model):
     fingerprint = costmodels.fingerprint
     calls = Counter()
 
@@ -151,7 +152,7 @@ def test_one_fingerprint_per_model_and_one_key_per_entry(monkeypatch,
 
     monkeypatch.setattr(costmodels, "fingerprint", counting)
     names = ["fig6", "related", "table4"]
-    for overrides in ({}, {"cost_model": "arm-flavour"}):
+    for overrides in ({}, {"cost_model": second_model.model_id}):
         root = tmp_path / (overrides.get("cost_model") or "default")
         for temperature in ("cold", "warm"):
             calls.clear()

@@ -93,5 +93,5 @@ def test_help_mentions_the_knobs(flag, capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     for knob in ("--seed", "--runs", "--budget", "--no-shrink",
-                 "--cost-model", "--corpus"):
+                 "--corpus"):
         assert knob in text

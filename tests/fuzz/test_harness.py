@@ -156,6 +156,29 @@ def test_fast_path_divergence_is_caught(monkeypatch):
     assert all("charged" in v.detail for v in report.violations)
 
 
+def test_mistimed_decoupled_charge_is_caught(monkeypatch):
+    """A decoupled charge that overshoots its target by one nanosecond
+    moves the clock only inside the op stream (the end-of-case drain
+    runs to absolute-time events), so the fast-path oracle must see it
+    through the stream-end clock."""
+    from repro.sim.engine import Simulator
+
+    try_charge = Simulator.try_charge
+
+    def overshoot(self, ns):
+        accepted = try_charge(self, ns)
+        if accepted:
+            self.now += 1
+        return accepted
+
+    monkeypatch.setattr(Simulator, "try_charge", overshoot)
+    report = evaluate_case(generate_case(CLEAN_SEED, n_ops=N_OPS,
+                                         fault_ratio=0.0))
+    assert "fast-path" in report.violated_oracles()
+    fast = [v for v in report.violations if v.oracle == "fast-path"]
+    assert all("stream_clock_ns" in v.detail for v in fast)
+
+
 def test_steering_snapshot_reports_table2(clean_report):
     steering = clean_report.outcomes["hw_svt"].steering
     assert steering["svt"] == [0, 1, 2]

@@ -1,12 +1,11 @@
-"""Fixture: variant model constants without provenance (SVT002)."""
+"""Fixture: registry constants without paper provenance (SVT002)."""
 
 BASE_STALL = 20                      # no citation at all
 
 
 def build(model):
-    return model.derived(
-        "bad-flavour",
-        switch_l2_l0=560,            # synthetic:
-        svt_stall_resume=16,         # synthetic: slower custom fabric
-        mwait_wake=45,
+    return model.with_overrides(
+        model_id="bad-flavour",
+        switch_l2_l0=560,            # synthetic: not accepted here
+        mwait_wake=45,               # paper: §5.2 mwait wake, rescaled
     )

@@ -1,12 +1,11 @@
-"""Fixture: variant model constants with valid provenance (SVT002)."""
+"""Fixture: registry constants with valid provenance (SVT002)."""
 
 BASE_STALL = 20                      # paper: §4 stall/resume event
 
 
 def build(model):
-    return model.derived(
-        "ok-flavour",
-        switch_l2_l0=560,            # synthetic: lighter trap microcode
-        svt_stall_resume=16,         # synthetic: slower custom fabric
+    return model.with_overrides(
+        model_id="ok-flavour",
+        switch_l2_l0=560,            # paper: Table 1 part 1, rescaled
         mwait_wake=45,               # paper: §5.2 mwait wake, rescaled
     )

@@ -15,7 +15,7 @@ def lint_tree(name):
 def test_bad_tree_yields_every_rule():
     by_rule = Counter(finding.rule for finding in lint_tree("bad"))
     assert by_rule == Counter(
-        {"SVT001": 11, "SVT002": 6, "SVT003": 4, "SVT004": 1,
+        {"SVT001": 11, "SVT002": 8, "SVT003": 4, "SVT004": 1,
          "SVT005": 4}
     )
 
@@ -64,8 +64,14 @@ def test_bad_tree_locations_are_exact():
               if f.path.endswith("costmodels/flavour.py")]
     assert models == [
         ("SVT002", 3),    # uncited module constant
-        ("SVT002", 9),    # '# synthetic:' with no rationale
-        ("SVT002", 11),   # uncited keyword argument
+        ("SVT002", 9),    # '# synthetic:' outside the backoff policy
+    ]
+    backoff = [(f.rule, f.line) for f in findings
+               if f.path.endswith("faults/backoff.py")]
+    assert backoff == [
+        ("SVT002", 5),    # uncited module constant
+        ("SVT002", 11),   # '# synthetic:' with no rationale
+        ("SVT002", 13),   # uncited keyword argument
     ]
 
 

@@ -101,57 +101,60 @@ def test_only_cost_model_modules_in_scope():
     assert check("X = 810\n", module="repro.exp.runner") == []
 
 
-# -- variant models (repro.cpu.costmodels) ---------------------------------
+# -- the registry and the backoff policy -----------------------------------
 
-VARIANT = "repro.cpu.costmodels.arm_flavour"
+REGISTRY = "repro.cpu.costmodels.xeon_paper"
+BACKOFF = "repro.faults.backoff"
 
 
 def test_costmodels_package_is_in_scope():
-    findings = check("STALL = 16\n", module=VARIANT)
+    findings = check("STALL = 16\n", module=REGISTRY)
     assert hits(findings) == [("SVT002", 1)]
-    assert "'# synthetic:'" in findings[0].message
+    assert "'# paper:'" in findings[0].message
+    assert "'# synthetic:'" not in findings[0].message
 
 
-def test_synthetic_citation_satisfies_in_costmodels():
+def test_synthetic_citation_satisfies_in_backoff():
     assert check(
-        "STALL = 16  # synthetic: slower custom fabric\n",
-        module=VARIANT) == []
+        "FACTOR = 2  # synthetic: classic bounded-exponential shape\n",
+        module=BACKOFF) == []
 
 
 def test_synthetic_requires_a_rationale():
-    findings = check("STALL = 16  # synthetic:\n", module=VARIANT)
+    findings = check("FACTOR = 2  # synthetic:\n", module=BACKOFF)
     assert hits(findings) == [("SVT002", 1)]
     assert "'# synthetic:' rationale" in findings[0].message
 
 
 def test_paper_citation_still_valid_in_costmodels():
     assert check("STALL = 20  # paper: §4 stall/resume\n",
-                 module=VARIANT) == []
+                 module=REGISTRY) == []
 
 
 def test_synthetic_not_accepted_in_paper_modules():
-    findings = check("STALL = 16  # synthetic: made up\n",
-                     module="repro.cpu.costs")
-    assert hits(findings) == [("SVT002", 1)]
+    for module in ("repro.cpu.costs", REGISTRY):
+        findings = check("STALL = 16  # synthetic: made up\n",
+                         module=module)
+        assert hits(findings) == [("SVT002", 1)], module
 
 
 def test_derived_keyword_arguments_checked():
     findings = check("""
-        MODEL = BASE.derived(
-            "arm-flavour",
-            switch_l2_l0=560,  # synthetic: lighter trap microcode
-            mwait_wake=45,
+        POLICY = dataclasses.replace(
+            DEFAULT,
+            factor=3,  # synthetic: steeper schedule for slow rings
+            cap_ns=64_000,
         )
-    """, module=VARIANT)
+    """, module=BACKOFF)
     assert hits(findings) == [("SVT002", 5)]
 
 
 def test_block_citation_covers_whole_derived_call():
     assert check("""
-        # synthetic: every constant scaled for the slower fabric
-        MODEL = BASE.derived(
-            "arm-flavour",
-            switch_l2_l0=560,
-            mwait_wake=45,
+        # synthetic: every bound doubled for the slower fabric
+        POLICY = dataclasses.replace(
+            DEFAULT,
+            factor=3,
+            cap_ns=64_000,
         )
-    """, module=VARIANT) == []
+    """, module=BACKOFF) == []
